@@ -4,7 +4,14 @@
 Usage:
     scripts/bench_diff.py OLD.json NEW.json [--gate] [--tolerance PCT]
 
-Prints a table of the key perf metrics with old/new values and the
+Two artifacts are comparable only when they were produced under the same
+`meta.hardware_concurrency` and `meta.smoke`: a 1-vCPU baseline and a
+4-core run differ in which gates bind and in what the wall-clock numbers
+measure, and a --smoke run times a fraction of the reps.  For any other
+pair the script prints why and refuses to diff: exit 0 when warn-only,
+exit 2 under --gate.
+
+Otherwise it prints a table of the key perf metrics with old/new values and the
 relative change, flagging each row as `ok`, `improved`, `regressed`, or
 `new` (metric absent from the old artifact -- e.g. a bench section that
 did not exist yet).  By default the script always exits 0: bench numbers
@@ -27,13 +34,29 @@ import sys
 METRICS = [
     (("eval", "reference_ns_per_eval"), "reference ns/eval", "down"),
     (("eval", "fast_ns_per_eval"), "fast ns/eval", "down"),
-    (("batched", "batched_ns_per_eval"), "batched ns/eval", "down"),
     (("delta", "delta_ns_per_eval"), "delta ns/eval", "down"),
     (("general", "searches_per_sec"), "general searches/sec", "up"),
     (("search", "single_thread_per_sec"), "search evals/sec", "up"),
+    (("search", "linear_per_sec"), "linear searches/sec", "up"),
+    (("exhaustive", "serial_ns_per_config"), "exhaustive serial ns/config",
+     "down"),
     (("exhaustive", "speedup"), "exhaustive speedup", "up"),
     (("alloc", "allocations_per_eval"), "allocations/eval", "down"),
 ]
+
+
+# Run conditions that must match for two artifacts to be comparable.
+COMPARABLE_META = ("hardware_concurrency", "smoke")
+
+
+def incomparable(old_doc, new_doc):
+    """Return the reason two artifacts cannot be diffed, or None."""
+    for key in COMPARABLE_META:
+        old = old_doc.get("meta", {}).get(key)
+        new = new_doc.get("meta", {}).get(key)
+        if old != new:
+            return f"meta.{key} differs: {old} (old) vs {new} (new)"
+    return None
 
 
 def lookup(doc, path):
@@ -86,6 +109,11 @@ def main():
         old_doc = json.load(f)
     with open(args.new) as f:
         new_doc = json.load(f)
+
+    reason = incomparable(old_doc, new_doc)
+    if reason is not None:
+        print(f"not comparable, no diff: {reason}", file=sys.stderr)
+        return 2 if args.gate else 0
 
     tolerance = args.tolerance / 100.0
     rows = []

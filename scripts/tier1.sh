@@ -26,12 +26,15 @@
 #                               # artifact is diffed against the previous
 #                               # one (scripts/bench_diff.py; warn-only
 #                               # unless NETPART_BENCH_GATE=1)
-#   scripts/tier1.sh --batch    # Release build, then the batched-engine
-#                               # lockdown: the differential property
-#                               # suite (estimate_batch bitwise ==
-#                               # estimate_into across batch shapes), the
-#                               # work-stealing determinism tests, and
-#                               # the degenerate-input fuzz sweeps
+#   scripts/tier1.sh --batch    # Release build, then the evaluation-
+#                               # engine lockdown: the delta differential
+#                               # tier (estimate_delta bitwise ==
+#                               # estimate_into over randomised walks and
+#                               # staged commits), the Gray-code sweep's
+#                               # tie-break oracle and determinism tests,
+#                               # the rank kernel and group shares, and
+#                               # the degenerate-input delta-chain fuzz
+#                               # sweeps
 #   scripts/tier1.sh --lint     # Strict build (-Wshadow -Werror, preset
 #                               # `strict`) plus clang-tidy over src/ when
 #                               # clang-tidy is installed (the gcc-only CI
@@ -107,21 +110,24 @@ cmake --preset "$preset"
 cmake --build --preset "$preset" -j "$(nproc)"
 
 if [[ "$batch_stage" == 1 ]]; then
-  # Focused lockdown of the batched estimator engine and the
-  # work-stealing sweep: the differential tier (bitwise batch == scalar),
-  # steal-order determinism under chaos yields, degenerate-input fuzzing,
-  # and the speedup-gate unit tests.  A subset of the release tier, for
-  # fast iteration on the engine itself.
-  echo "== batched engine lockdown =="
+  # Focused lockdown of the delta evaluation engine and the Gray-code
+  # work-stealing sweep built on it: the differential tier (bitwise
+  # delta == scalar, staged commits included), the sweep's odometer
+  # tie-break oracle and steal-order determinism under chaos yields, the
+  # rank kernel and closed-form shares, the degenerate-input delta-chain
+  # fuzzing, and the speedup-gate unit tests.  A subset of the release
+  # tier, for fast iteration on the engine itself.  (The flag keeps the
+  # name it had when the lane-batched engine was the fast path.)
+  echo "== evaluation engine lockdown =="
   ./build/tests/test_property \
-    --gtest_filter='*Batch*:*ParallelExhaustive*:GroupShares.*:RankKernel.*:*DeltaBitwise*:DeltaEval.*'
+    --gtest_filter='*ParallelExhaustive*:ExhaustiveTieBreak.*:GroupShares.*:RankKernel.*:*DeltaEval*'
   ./build/tests/test_threaded \
     --gtest_filter='ThreadedPartitionSearchTest.*'
   ./build/tests/test_fuzz \
     --gtest_filter='DegenerateInputs.*:*StarvationPressure*'
   ./build/tests/test_coverage \
     --gtest_filter='SpeedupGateCoverage.*:GateSetCoverage.*'
-  echo "== batched perf smoke =="
+  echo "== engine perf smoke =="
   ./build/bench/bench_partition_hotpath --smoke >/dev/null
   echo "batch tier ok"
   exit 0
@@ -206,7 +212,8 @@ fi
 
 if [[ "$bench_stage" == 1 ]]; then
   echo "== partition hot-path bench =="
-  # Wall-clock gates (parallel_speedup, batched_under_40ns) key off the
+  # Wall-clock gates (parallel_speedup, batched_under_40ns -- the delta
+  # probe's < 40 ns bar) key off the
   # host's core count; pin it explicitly so the gate decision in the
   # artifact records what this host could actually test.  CI or a user
   # can override by exporting NETPART_HW_CONCURRENCY first.
@@ -222,6 +229,8 @@ if [[ "$bench_stage" == 1 ]]; then
     # Warn-only by default: bench numbers move with the host.  On the
     # designated CI host, export NETPART_BENCH_GATE=1 to make a
     # regression against the checked-in baseline fail the tier.
+    # bench_diff.py refuses (exit 2 under the gate) to diff artifacts
+    # from a different core count or a --smoke run.
     if [[ "${NETPART_BENCH_GATE:-0}" == 1 ]]; then
       python3 scripts/bench_diff.py "$prev_bench" BENCH_partition.json \
         --gate

@@ -11,32 +11,32 @@
 namespace netpart {
 
 namespace {
-/// Process-unique identities for BatchScratch binding.  Stack-allocated
+/// Process-unique identities for DeltaScratch binding.  Stack-allocated
 /// estimators can reuse addresses, so pointers cannot tell two apart.
 std::atomic<std::uint64_t> g_next_binding_id{1};
 
-/// The memoised bytes_per_message lookup shared by the lane engine and the
-/// delta path: the dominant communication phase's callback (a
-/// std::function, the one indirect call the batch cannot hoist) is
-/// deterministic for the estimator's lifetime, so caching by A_i is exact.
-/// Direct-indexed table when num_PDUs is small (one load, no hashing),
-/// direct-mapped hash memo otherwise; both are cleared on rebinding.
+/// The delta path's memoised bytes_per_message lookup: the dominant
+/// communication phase's callback (a std::function, the one indirect call
+/// the tables cannot hoist) is deterministic for the estimator's lifetime,
+/// so caching by A_i is exact.  Direct-indexed table when num_PDUs is
+/// small (one load, no hashing), direct-mapped hash memo otherwise; both
+/// are cleared on rebinding.
 inline std::int64_t memoized_bytes(const CommunicationPhaseSpec& comm,
-                                   BatchScratch& batch, std::int64_t a) {
-  if (!batch.bytes_cache.empty()) {
-    std::int64_t bytes = batch.bytes_cache[static_cast<std::size_t>(a)];
+                                   DeltaScratch& d, std::int64_t a) {
+  if (!d.bytes_cache.empty()) {
+    std::int64_t bytes = d.bytes_cache[static_cast<std::size_t>(a)];
     if (bytes >= 0) return bytes;
     bytes = comm.bytes_per_message(a);
-    batch.bytes_cache[static_cast<std::size_t>(a)] = bytes;
+    d.bytes_cache[static_cast<std::size_t>(a)] = bytes;
     return bytes;
   }
   const auto slot = static_cast<std::size_t>(
       (static_cast<std::uint64_t>(a) * 0x9E3779B97F4A7C15ull) >>
-      (64 - BatchScratch::kBytesMemoBits));
-  if (batch.memo_key[slot] == a + 1) return batch.memo_val[slot];
+      (64 - DeltaScratch::kBytesMemoBits));
+  if (d.memo_key[slot] == a + 1) return d.memo_val[slot];
   const std::int64_t bytes = comm.bytes_per_message(a);
-  batch.memo_key[slot] = a + 1;
-  batch.memo_val[slot] = bytes;
+  d.memo_key[slot] = a + 1;
+  d.memo_val[slot] = bytes;
   return bytes;
 }
 
@@ -234,13 +234,12 @@ FastEstimate CycleEstimator::estimate_into(const ProcessorConfig& config,
   return out;
 }
 
-void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
-  if (batch.bound_id == binding_id_) return;
+void CycleEstimator::bind_delta_tables(DeltaScratch& d) const {
   const auto k = static_cast<std::size_t>(network_.num_clusters());
 
-  batch.inv_s.resize(k);
-  batch.comp_ms.resize(k);
-  batch.capacity.resize(k);
+  d.inv_s.resize(k);
+  d.comp_ms.resize(k);
+  d.capacity.resize(k);
   for (ClusterId c = 0; c < network_.num_clusters(); ++c) {
     const auto ci = static_cast<std::size_t>(c);
     const ProcessorType& type = network_.cluster(c).type();
@@ -249,28 +248,28 @@ void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
     // estimate_into evaluates s_ms * ops_per_pdu * A left to right, so the
     // s_ms * ops_per_pdu prefix is a loop-invariant product the binding
     // can fold without changing a bit of the final T_comp.
-    batch.inv_s[ci] = 1.0 / type.flop_time.as_seconds();
-    batch.comp_ms[ci] = (dominant_comp_->op_kind == OpKind::FloatingPoint
-                             ? type.flop_time
-                             : type.int_time)
-                            .as_millis() *
-                        ops_per_pdu_;
-    batch.capacity[ci] = network_.cluster(c).size();
+    d.inv_s[ci] = 1.0 / type.flop_time.as_seconds();
+    d.comp_ms[ci] = (dominant_comp_->op_kind == OpKind::FloatingPoint
+                         ? type.flop_time
+                         : type.int_time)
+                        .as_millis() *
+                    ops_per_pdu_;
+    d.capacity[ci] = network_.cluster(c).size();
   }
 
-  batch.has_fit.assign(k, 0);
-  batch.fit.assign(k, Eq1Fit{});
-  batch.router_i.assign(k * k, 0.0);
-  batch.router_s.assign(k * k, 0.0);
-  batch.coerce_i.assign(k * k, 0.0);
-  batch.coerce_s.assign(k * k, 0.0);
-  batch.has_router.assign(k * k, 0);
+  d.has_fit.assign(k, 0);
+  d.fit.assign(k, Eq1Fit{});
+  d.router_i.assign(k * k, 0.0);
+  d.router_s.assign(k * k, 0.0);
+  d.coerce_i.assign(k * k, 0.0);
+  d.coerce_s.assign(k * k, 0.0);
+  d.has_router.assign(k * k, 0);
   if (dominant_comm_ != nullptr) {
     for (ClusterId c = 0; c < network_.num_clusters(); ++c) {
       const auto ci = static_cast<std::size_t>(c);
       if (has_fit_[ci]) {
-        batch.has_fit[ci] = 1;
-        batch.fit[ci] = db_.comm_fit(c, comm_topology_);
+        d.has_fit[ci] = 1;
+        d.fit[ci] = db_.comm_fit(c, comm_topology_);
       }
     }
     for (ClusterId a = 0; a < network_.num_clusters(); ++a) {
@@ -279,323 +278,52 @@ void CycleEstimator::ensure_batch_bound(BatchScratch& batch) const {
         const std::size_t slot =
             static_cast<std::size_t>(a) * k + static_cast<std::size_t>(b);
         if (const auto rf = db_.router_fit(a, b)) {
-          batch.has_router[slot] = 1;
-          batch.router_i[slot] = rf->intercept;
-          batch.router_s[slot] = rf->slope;
+          d.has_router[slot] = 1;
+          d.router_i[slot] = rf->intercept;
+          d.router_s[slot] = rf->slope;
         }
         if (const auto cf = db_.coerce_fit(a, b)) {
           // Absent coercion stays {0, 0}: max(0, 0 + 0*b) reproduces
           // coerce_ms()'s literal 0.0 return bitwise.
-          batch.coerce_i[slot] = cf->intercept;
-          batch.coerce_s[slot] = cf->slope;
+          d.coerce_i[slot] = cf->intercept;
+          d.coerce_s[slot] = cf->slope;
         }
       }
     }
   }
 
-  constexpr auto lanes = static_cast<std::size_t>(BatchScratch::kLanes);
-  batch.group_w.resize(lanes * k);
-  batch.group_p.resize(lanes * k);
-  batch.group_c.resize(lanes * k);
-  batch.share_base.resize(lanes * k);
-  batch.share_frac.resize(lanes * k);
-  batch.ranks_before.resize(lanes * k);
-  batch.group_bytes.resize(lanes * k);
-  batch.max_a.resize(lanes * k);
   // A different estimator means a different spec: the bytes caches keyed
   // by the old spec's callback are poison, not a warm start.
-  if (dominant_comm_ != nullptr && num_pdus_ <= BatchScratch::kBytesDirectMax) {
-    batch.bytes_cache.assign(static_cast<std::size_t>(num_pdus_) + 1, -1);
-    batch.memo_key.clear();
-    batch.memo_val.clear();
+  if (dominant_comm_ != nullptr && num_pdus_ <= DeltaScratch::kBytesDirectMax) {
+    d.bytes_cache.assign(static_cast<std::size_t>(num_pdus_) + 1, -1);
+    d.memo_key.clear();
+    d.memo_val.clear();
   } else {
-    batch.bytes_cache.clear();
-    batch.memo_key.assign(std::size_t{1} << BatchScratch::kBytesMemoBits, 0);
-    batch.memo_val.assign(std::size_t{1} << BatchScratch::kBytesMemoBits, 0);
-  }
-  batch.bound_id = binding_id_;
-}
-
-void CycleEstimator::estimate_lanes(const ProcessorConfig* configs,
-                                    FastEstimate* out,
-                                    EstimatorScratch& scratch) const {
-  BatchScratch& batch = scratch.batch;
-  constexpr int kLanes = BatchScratch::kLanes;
-  const auto k = static_cast<std::size_t>(network_.num_clusters());
-  const ClusterId* order = cluster_order_.data();
-  const double* inv_s = batch.inv_s.data();
-  const double* comp_ms = batch.comp_ms.data();
-  const int* capacity = batch.capacity.data();
-
-  // Stage A, gather pass: one loop per lane validates (validate_config's
-  // checks and messages) and collects the active groups in placement
-  // order.  Integer-only; the float work is deferred to the chain pass
-  // below so its loop body stays small.
-  int lane_groups[kLanes];
-  int lane_total[kLanes];
-  double weight_sum[kLanes];
-  for (int lane = 0; lane < kLanes; ++lane) {
-    const ProcessorConfig& config = configs[lane];
-    NP_REQUIRE(config.size() == k, "configuration must name every cluster");
-    const int* cfg = config.data();
-    const std::size_t base = static_cast<std::size_t>(lane) * k;
-    double* gw = &batch.group_w[base];
-    int* gp = &batch.group_p[base];
-    ClusterId* gc = &batch.group_c[base];
-    int total = 0;
-    int groups = 0;
-    double sum = 0.0;
-    for (std::size_t oi = 0; oi < k; ++oi) {
-      const auto c = static_cast<std::size_t>(order[oi]);
-      const int p = cfg[c];
-      NP_REQUIRE(p >= 0 && p <= capacity[c],
-                 "configuration exceeds cluster capacity");
-      // Branch-free compaction: always store, advance only on p > 0 (an
-      // idle cluster's slot is overwritten by the next active one).  p == 0
-      // is data-dependent -- a skip branch here mispredicts constantly.
-      const double w = inv_s[c];
-      gw[groups] = w;
-      gp[groups] = p;
-      gc[groups] = order[oi];
-      groups += static_cast<int>(p != 0);
-      total += p;
-      // Eq. 3 weight sum: the repeated adds reproduce estimate_into's
-      // rank-major sum bitwise -- same values, same order.
-      for (int i = 0; i < p; ++i) sum += w;
-    }
-    NP_REQUIRE(total > 0,
-               "configuration must select at least one processor");
-    NP_REQUIRE(num_pdus_ >= total,
-               "cannot give every selected processor a PDU");
-    lane_groups[lane] = groups;
-    lane_total[lane] = total;
-    weight_sum[lane] = sum;
+    d.bytes_cache.clear();
+    d.memo_key.assign(std::size_t{1} << DeltaScratch::kBytesMemoBits, 0);
+    d.memo_val.assign(std::size_t{1} << DeltaScratch::kBytesMemoBits, 0);
   }
 
-  // Stage B per lane: closed-form shares (proportional_group_shares
-  // inlined over the SoA buffers, rank tiebreaks as branch-free arithmetic
-  // -- the fraction comparisons are data-dependent and would mistrain the
-  // branch predictor), then Eq. 4 maxima and Eq. 1/2/5 communication over
-  // the bound coefficient tables.  A lane the closed form cannot serve
-  // (starvation repair) replays through the scalar path, which counts
-  // itself.
-  const double pdus = static_cast<double>(num_pdus_);
-  const bool has_comm = dominant_comm_ != nullptr;
-  const Topology topo = comm_topology_;
-  const bool bw_limited = comm_bw_limited_;
-  std::int64_t* share_base = batch.share_base.data();
-  double* share_frac = batch.share_frac.data();
-  double* group_bytes = batch.group_bytes.data();
-  const char* has_fit = batch.has_fit.data();
-  const Eq1Fit* fit = batch.fit.data();
-  // Memoised bytes_per_message: the sole std::function call per group the
-  // batch cannot precompute (memoized_bytes above, shared with the delta
-  // path).
-  const auto bytes_for = [&](std::int64_t a) {
-    return memoized_bytes(*dominant_comm_, batch, a);
-  };
-  // Stage B runs stage-major: all lanes advance through each small stage
-  // together, so the eight per-lane dependency chains (share divisions,
-  // rank tiebreaks, the Eq. 4/5 max folds) sit side by side inside the
-  // out-of-order window.  Lane-major Stage B -- one lane's full
-  // ~hundred-instruction chain retiring before the next lane starts --
-  // leaves the window holding a single serial chain and measures ~40%
-  // slower on the hotpath bench.
-  std::int64_t lane_remainder[kLanes];
-  double lane_tcomp[kLanes];
-  unsigned starved_mask = 0;
-
-  // B1: the closed-form share divisions (proportional_group_shares'
-  // division pass, bitwise).  Division throughput is the floor here; the
-  // independent lanes keep the divider fed, and InvariantDivider turns the
-  // per-group divisions into one reciprocal per lane plus two FMAs per
-  // group where the toolchain has hardware FMA (bitwise by Markstein's
-  // correction; plain division otherwise -- see dp/rank_kernel.hpp).
-  for (int lane = 0; lane < kLanes; ++lane) {
-    const std::size_t base = static_cast<std::size_t>(lane) * k;
-    const double* gw = &batch.group_w[base];
-    const int* gp = &batch.group_p[base];
-    std::int64_t* sb = &share_base[base];
-    double* sf = &share_frac[base];
-    const InvariantDivider div(weight_sum[lane]);
-    const int groups = lane_groups[lane];
-    std::int64_t used = 0;
-    for (int g = 0; g < groups; ++g) {
-      const double ideal = div.divide(pdus * gw[g]);
-      const auto whole = static_cast<std::int64_t>(ideal);
-      sb[g] = whole;
-      sf[g] = ideal - static_cast<double>(whole);
-      used += whole * gp[g];
-    }
-    lane_remainder[lane] = num_pdus_ - used;
-    NP_ASSERT(lane_remainder[lane] >= 0 &&
-              lane_remainder[lane] <= lane_total[lane]);
-  }
-
-  // B2: largest-remainder extras -> per-group max A_i and starvation,
-  // with the Eq. 4 computation maximum folded in (max_a is in a register
-  // the moment it is stored; a separate pass would reload it).  The rank
-  // counts come from the branchless sorting-network kernel (<= 4 groups;
-  // quadratic branch-free pass above) -- the old O(G^2) compare loop here
-  // was the dominant term of the batched per-eval profile.
-  std::int64_t* ranks_before = batch.ranks_before.data();
-  for (int lane = 0; lane < kLanes; ++lane) {
-    const std::size_t base = static_cast<std::size_t>(lane) * k;
-    const int* gp = &batch.group_p[base];
-    const ClusterId* gc = &batch.group_c[base];
-    const std::int64_t* sb = &share_base[base];
-    const double* sf = &share_frac[base];
-    std::int64_t* max_a = &batch.max_a[base];
-    std::int64_t* rb = &ranks_before[base];
-    const std::int64_t remainder = lane_remainder[lane];
-    const int groups = lane_groups[lane];
-    largest_remainder_ranks(sf, gp, groups, rb);
-    int starved = 0;
-    double t_comp = 0.0;
-    for (int g = 0; g < groups; ++g) {
-      // extras = clamp(remainder - ranks_before, 0, P_g), but only its
-      // sign (an extra exists) and saturation (the group filled up) are
-      // consumed, so two comparisons replace the clamp.
-      const std::int64_t d = remainder - rb[g];
-      starved |= static_cast<int>(sb[g] == 0) &
-                 static_cast<int>(d < gp[g]);
-      const std::int64_t a = sb[g] + static_cast<std::int64_t>(d > 0);
-      max_a[g] = a;
-      t_comp = std::max(t_comp, comp_ms[static_cast<std::size_t>(gc[g])] *
-                                    static_cast<double>(a));
-    }
-    lane_tcomp[lane] = t_comp;
-    starved_mask |= static_cast<unsigned>(starved) << lane;
-  }
-
-  // B3: Eq. 2/5 communication (worst synchronous cluster, then boundary
-  // router/coercion penalties), the Eq. 6 combination, and the result
-  // stores.  Starved lanes are skipped -- their shares are invalid.
-  const double iterations = static_cast<double>(spec_.iterations());
-  int scored = 0;
-  for (int lane = 0; lane < kLanes; ++lane) {
-    if (((starved_mask >> lane) & 1u) != 0) continue;
-    const std::size_t base = static_cast<std::size_t>(lane) * k;
-    const int* gp = &batch.group_p[base];
-    const ClusterId* gc = &batch.group_c[base];
-    const std::int64_t* max_a = &batch.max_a[base];
-    double* gb = &group_bytes[base];
-    const int groups = lane_groups[lane];
-    const int total_p = lane_total[lane];
-    double t_comm = 0.0;
-    if (has_comm && total_p > 1) {
-      double worst = 0.0;
-      for (int g = 0; g < groups; ++g) {
-        const double bytes = static_cast<double>(bytes_for(max_a[g]));
-        gb[g] = bytes;
-        int adj = 0;
-        if (groups > 1) {
-          switch (topo) {
-            case Topology::OneD:
-            case Topology::TwoD:
-              adj = (g > 0 ? 1 : 0) + (g + 1 < groups ? 1 : 0);
-              break;
-            case Topology::Ring:
-              adj = 2;
-              break;
-            case Topology::Tree:
-            case Topology::Broadcast:
-              adj = g == 0 ? groups - 1 : 1;
-              break;
-          }
-        }
-        const double p_param =
-            (bw_limited ? static_cast<double>(total_p)
-                        : static_cast<double>(gp[g])) +
-            static_cast<double>(adj);
-        const auto c = static_cast<std::size_t>(gc[g]);
-        double cost;
-        if (has_fit[c]) {
-          // db_.comm_ms over the by-value fit: same p <= 1 early-out,
-          // same |Eq. 1| evaluation, without the optional deref or slot
-          // checks.
-          cost = p_param <= 1.0
-                     ? 0.0
-                     : std::abs(fit[c].evaluate(bytes, p_param));
-        } else {
-          cost = cluster_cost_ms(gc[g], bytes, p_param);  // proxy (rare)
-        }
-        worst = std::max(worst, cost);
-      }
-      double penalty = 0.0;
-      for (int g = 0; g + 1 < groups; ++g) {
-        const ClusterId ca = gc[g];
-        const ClusterId cb = gc[g + 1];
-        // bytes_for(max(a, b)) is the bytes of whichever neighbour has
-        // the larger max A_i -- already computed (and cast) above.
-        const double bytes =
-            max_a[g] >= max_a[g + 1] ? gb[g] : gb[g + 1];
-        const std::size_t slot =
-            static_cast<std::size_t>(ca) * k + static_cast<std::size_t>(cb);
-        const double router =
-            batch.has_router[slot]
-                ? std::max(0.0, batch.router_i[slot] +
-                                    batch.router_s[slot] * bytes)
-                : db_.router_ms(ca, cb, bytes);  // throws exactly like scalar
-        const double coerce = std::max(
-            0.0, batch.coerce_i[slot] + batch.coerce_s[slot] * bytes);
-        penalty = std::max(penalty, router + coerce);
-      }
-      t_comm = worst + penalty;
-    }
-    const double t_comp = lane_tcomp[lane];
-    const double t_overlap =
-        phases_overlap_ ? std::min(t_comp, t_comm) : 0.0;
-    FastEstimate& fe = out[lane];
-    fe.t_comp_ms = t_comp;
-    fe.t_comm_ms = t_comm;
-    fe.t_overlap_ms = t_overlap;
-    fe.t_c_ms = t_comp + t_comm - t_overlap;
-    fe.t_elapsed_ms = fe.t_c_ms * iterations;
-    ++scored;
-  }
-  scratch.evaluations += static_cast<std::uint64_t>(scored);
-  scratch.batch_evaluations += static_cast<std::uint64_t>(scored);
-
-  // Starved lanes (extreme speed skew, rare): the closed form cannot
-  // reproduce the donor-stealing repair, so replay through the scalar
-  // path, which counts itself.
-  for (int lane = 0; starved_mask != 0 && lane < kLanes; ++lane) {
-    if (((starved_mask >> lane) & 1u) != 0) {
-      out[lane] = estimate_into(configs[lane], scratch);
-    }
-  }
-}
-
-void CycleEstimator::estimate_batch(const ProcessorConfig* configs,
-                                    std::size_t count, FastEstimate* out,
-                                    EstimatorScratch& scratch) const {
-  ensure_batch_bound(scratch.batch);
-  constexpr auto lanes = static_cast<std::size_t>(BatchScratch::kLanes);
-  std::size_t i = 0;
-  for (; i + lanes <= count; i += lanes) {
-    estimate_lanes(configs + i, out + i, scratch);
-  }
-  // Scalar remainder lane: fewer candidates than a lane group is left.
-  for (; i < count; ++i) {
-    out[i] = estimate_into(configs[i], scratch);
-  }
-}
-
-void CycleEstimator::rebuild_delta_cache(DeltaScratch& d,
-                                         EstimatorScratch& scratch) const {
-  const BatchScratch& batch = scratch.batch;
-  const auto k = static_cast<std::size_t>(network_.num_clusters());
-  // Patched-lane staging: at most every cluster active, +1 slack so the
-  // insertion case never reallocates mid-evaluation.
+  // Baseline cache and patched-lane staging: at most every cluster active
+  // (+1 slack in the staging so the insertion case never reallocates
+  // mid-evaluation), so neither a rebuild nor an adopting commit_delta
+  // allocates once bound.
+  d.group_w.reserve(k);
+  d.group_p.reserve(k);
+  d.group_c.reserve(k);
+  d.prefix_w.reserve(k + 1);
   d.lane_w.resize(k + 1);
   d.lane_p.resize(k + 1);
   d.lane_c.resize(k + 1);
+  d.lane_prefix.resize(k + 2);
   d.lane_base.resize(k + 1);
   d.lane_frac.resize(k + 1);
   d.lane_rb.resize(k + 1);
   d.lane_max_a.resize(k + 1);
   d.lane_bytes.resize(k + 1);
+}
+
+void CycleEstimator::rebuild_delta_cache(DeltaScratch& d) const {
   d.group_w.clear();
   d.group_p.clear();
   d.group_c.clear();
@@ -605,7 +333,7 @@ void CycleEstimator::rebuild_delta_cache(DeltaScratch& d,
   for (ClusterId c : cluster_order_) {
     const int p = d.config[static_cast<std::size_t>(c)];
     if (p == 0) continue;
-    const double w = batch.inv_s[static_cast<std::size_t>(c)];
+    const double w = d.inv_s[static_cast<std::size_t>(c)];
     d.prefix_w.push_back(sum);
     d.group_w.push_back(w);
     d.group_p.push_back(p);
@@ -617,18 +345,22 @@ void CycleEstimator::rebuild_delta_cache(DeltaScratch& d,
   }
   d.prefix_w.push_back(sum);
   d.total_p = total;
+  d.staged_cluster = -1;
 }
 
 FastEstimate CycleEstimator::bind_delta(const ProcessorConfig& config,
                                         DeltaScratch& d,
                                         EstimatorScratch& scratch) const {
-  // estimate_into validates and counts the baseline evaluation; the bound
-  // batch tables supply the per-cluster constants the cache keeps.
+  // estimate_into validates and counts the baseline evaluation; the
+  // per-cluster tables are rebuilt only when the estimator changed.
   const FastEstimate out = estimate_into(config, scratch);
-  ensure_batch_bound(scratch.batch);
+  if (d.bound_id != binding_id_) {
+    d.bound_id = 0;  // half-built tables must not pass for bound ones
+    bind_delta_tables(d);
+    d.bound_id = binding_id_;
+  }
   d.config = config;
-  d.bound_id = binding_id_;
-  rebuild_delta_cache(d, scratch);
+  rebuild_delta_cache(d);
   return out;
 }
 
@@ -638,13 +370,11 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   NP_REQUIRE(d.bound_id == binding_id_,
              "delta scratch is not bound to this estimator "
              "(call bind_delta first)");
-  ensure_batch_bound(scratch.batch);
-  BatchScratch& batch = scratch.batch;
   const auto k = static_cast<std::size_t>(network_.num_clusters());
   const auto ci = static_cast<std::size_t>(cluster);
   NP_REQUIRE(ci < k, "cluster id out of range");
   const int moved_p = d.config[ci] + delta;
-  NP_REQUIRE(moved_p >= 0 && moved_p <= batch.capacity[ci],
+  NP_REQUIRE(moved_p >= 0 && moved_p <= d.capacity[ci],
              "configuration exceeds cluster capacity");
   const int total = d.total_p + delta;
   NP_REQUIRE(total > 0, "configuration must select at least one processor");
@@ -655,7 +385,8 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   // order are the baseline's, byte for byte; the Eq. 3 weight-sum chain
   // resumes from the cached partial at the splice point, so the full sum
   // is the exact double a from-scratch gather of the moved configuration
-  // produces.
+  // produces.  The partials are staged alongside the groups so that
+  // commit_delta of this move can adopt both.
   const int baseline_groups = static_cast<int>(d.group_c.size());
   const int pos = order_pos_[ci];
   int j = 0;
@@ -667,18 +398,21 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   double* lw = d.lane_w.data();
   int* lp = d.lane_p.data();
   ClusterId* lc = d.lane_c.data();
+  double* lpre = d.lane_prefix.data();
   for (int g = 0; g < j; ++g) {
     lw[g] = d.group_w[static_cast<std::size_t>(g)];
     lp[g] = d.group_p[static_cast<std::size_t>(g)];
     lc[g] = d.group_c[static_cast<std::size_t>(g)];
+    lpre[g] = d.prefix_w[static_cast<std::size_t>(g)];
   }
   int groups = j;
   double sum = d.prefix_w[static_cast<std::size_t>(j)];
   if (moved_p > 0) {
-    const double w = batch.inv_s[ci];
+    const double w = d.inv_s[ci];
     lw[groups] = w;
     lp[groups] = moved_p;
     lc[groups] = cluster;
+    lpre[groups] = sum;
     ++groups;
     for (int i = 0; i < moved_p; ++i) sum += w;
   }
@@ -688,12 +422,19 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
     lw[groups] = w;
     lp[groups] = p;
     lc[groups] = d.group_c[static_cast<std::size_t>(g)];
+    lpre[groups] = sum;
     ++groups;
     for (int i = 0; i < p; ++i) sum += w;
   }
+  lpre[groups] = sum;
+  d.staged_cluster = cluster;
+  d.staged_delta = delta;
+  d.staged_groups = groups;
 
-  // Shares, rank kernel, starvation, Eq. 4 fold: the single-lane mirror of
-  // estimate_lanes' Stage B (same kernels, same bitwise contract).
+  // Shares (InvariantDivider: one reciprocal plus two FMAs per group where
+  // the toolchain has hardware FMA, bitwise x/d by Markstein's correction
+  // -- see dp/rank_kernel.hpp), the branchless largest-remainder rank
+  // kernel, starvation, and the Eq. 4 fold.
   const double pdus = static_cast<double>(num_pdus_);
   const InvariantDivider div(sum);
   std::int64_t* lb = d.lane_base.data();
@@ -712,10 +453,14 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   largest_remainder_ranks(lf, lp, groups, d.lane_rb.data());
   const std::int64_t* rb = d.lane_rb.data();
   std::int64_t* la = d.lane_max_a.data();
-  const double* comp_ms = batch.comp_ms.data();
+  const double* comp_ms = d.comp_ms.data();
   int starved = 0;
   double t_comp = 0.0;
   for (int g = 0; g < groups; ++g) {
+    // extras = clamp(remainder - ranks_before, 0, P_g), but only its sign
+    // (an extra exists) and saturation (the group filled up) are consumed,
+    // so two comparisons replace the clamp.  Both are data-dependent;
+    // branch-free arithmetic keeps them off the branch predictor.
     const std::int64_t dd = remainder - rb[g];
     starved |= static_cast<int>(lb[g] == 0) & static_cast<int>(dd < lp[g]);
     const std::int64_t a = lb[g] + static_cast<std::int64_t>(dd > 0);
@@ -726,7 +471,8 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   if (starved != 0) {
     // Starvation repair (extreme speed skew, rare): the closed form cannot
     // reproduce the donor-stealing loop; replay the moved configuration
-    // through the scalar path, which counts itself.
+    // through the scalar path, which counts itself.  The staged gather is
+    // still the moved configuration's, so a commit may adopt it.
     d.moved = d.config;
     d.moved[ci] = moved_p;
     return estimate_into(d.moved, scratch);
@@ -734,19 +480,19 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   ++scratch.evaluations;
   ++scratch.delta_evaluations;
 
-  // Eq. 2/5 communication over the bound coefficient tables (the
-  // single-lane mirror of Stage B3).
+  // Eq. 2/5 communication over the bound coefficient tables: the worst
+  // synchronous cluster, then the boundary router/coercion penalties.
   double t_comm = 0.0;
   if (dominant_comm_ != nullptr && total > 1) {
     const Topology topo = comm_topology_;
     const bool bw_limited = comm_bw_limited_;
-    const char* has_fit = batch.has_fit.data();
-    const Eq1Fit* fit = batch.fit.data();
+    const char* has_fit = d.has_fit.data();
+    const Eq1Fit* fit = d.fit.data();
     double* gb = d.lane_bytes.data();
     double worst = 0.0;
     for (int g = 0; g < groups; ++g) {
       const double bytes =
-          static_cast<double>(memoized_bytes(*dominant_comm_, batch, la[g]));
+          static_cast<double>(memoized_bytes(*dominant_comm_, d, la[g]));
       gb[g] = bytes;
       int adj = 0;
       if (groups > 1) {
@@ -771,6 +517,8 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
       const auto c = static_cast<std::size_t>(lc[g]);
       double cost;
       if (has_fit[c]) {
+        // db_.comm_ms over the by-value fit: same p <= 1 early-out, same
+        // |Eq. 1| evaluation, without the optional deref or slot checks.
         cost = p_param <= 1.0
                    ? 0.0
                    : std::abs(fit[c].evaluate(bytes, p_param));
@@ -783,16 +531,17 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
     for (int g = 0; g + 1 < groups; ++g) {
       const ClusterId ca = lc[g];
       const ClusterId cb = lc[g + 1];
+      // bytes_per_message(max(a, b)) is the bytes of whichever neighbour
+      // has the larger max A_i -- already computed (and cast) above.
       const double bytes = la[g] >= la[g + 1] ? gb[g] : gb[g + 1];
       const std::size_t slot =
           static_cast<std::size_t>(ca) * k + static_cast<std::size_t>(cb);
       const double router =
-          batch.has_router[slot]
-              ? std::max(0.0, batch.router_i[slot] +
-                                  batch.router_s[slot] * bytes)
-              : db_.router_ms(ca, cb, bytes);
-      const double coerce = std::max(
-          0.0, batch.coerce_i[slot] + batch.coerce_s[slot] * bytes);
+          d.has_router[slot]
+              ? std::max(0.0, d.router_i[slot] + d.router_s[slot] * bytes)
+              : db_.router_ms(ca, cb, bytes);  // throws exactly like scalar
+      const double coerce =
+          std::max(0.0, d.coerce_i[slot] + d.coerce_s[slot] * bytes);
       penalty = std::max(penalty, router + coerce);
     }
     t_comm = worst + penalty;
@@ -807,18 +556,30 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
 
 void CycleEstimator::commit_delta(ClusterId cluster, int delta,
                                   DeltaScratch& d,
-                                  EstimatorScratch& scratch) const {
+                                  EstimatorScratch& /*scratch*/) const {
   NP_REQUIRE(d.bound_id == binding_id_,
              "delta scratch is not bound to this estimator "
              "(call bind_delta first)");
-  ensure_batch_bound(scratch.batch);
   const auto ci = static_cast<std::size_t>(cluster);
   NP_REQUIRE(ci < d.config.size(), "cluster id out of range");
   const int moved_p = d.config[ci] + delta;
-  NP_REQUIRE(moved_p >= 0 && moved_p <= scratch.batch.capacity[ci],
+  NP_REQUIRE(moved_p >= 0 && moved_p <= d.capacity[ci],
              "configuration exceeds cluster capacity");
   d.config[ci] = moved_p;
-  rebuild_delta_cache(d, scratch);
+  if (d.staged_cluster != cluster || d.staged_delta != delta) {
+    rebuild_delta_cache(d);
+    return;
+  }
+  // The last probe scored exactly this move: its staged gather is the
+  // moved configuration's, down to the weight-sum partials.
+  const auto groups = static_cast<std::size_t>(d.staged_groups);
+  d.group_w.assign(d.lane_w.begin(), d.lane_w.begin() + groups);
+  d.group_p.assign(d.lane_p.begin(), d.lane_p.begin() + groups);
+  d.group_c.assign(d.lane_c.begin(), d.lane_c.begin() + groups);
+  d.prefix_w.assign(d.lane_prefix.begin(),
+                    d.lane_prefix.begin() + groups + 1);
+  d.total_p += delta;
+  d.staged_cluster = -1;
 }
 
 double CycleEstimator::cluster_cost_ms(ClusterId c, double bytes,

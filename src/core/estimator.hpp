@@ -11,7 +11,7 @@
 // using only the program callbacks and the offline-calibrated cost model --
 // no network activity happens at estimation time.
 //
-// Four evaluation paths:
+// Three evaluation paths:
 //
 //   * estimate() -- the reference path: materialises the full Eq. 3
 //     partition vector and scans it rank by rank.  One heap-allocating
@@ -22,21 +22,16 @@
 //     cluster only the floor/ceiling of its ideal share, see
 //     proportional_group_shares), so no per-rank vector exists and a
 //     steady-state evaluation allocates nothing.  Results are bitwise
-//     identical to estimate() -- the property tier asserts this.
-//   * estimate_batch() -- the batched engine the searches hammer: up to
-//     BatchScratch::kLanes candidate configurations advance through each
-//     evaluation stage together over struct-of-arrays scratch, so the
-//     long dependent float chains (the Eq. 3 weight sum above all) run as
-//     independent per-lane chains the hardware can overlap.  A batch that
-//     is not a whole number of lanes finishes on a scalar remainder lane
-//     (estimate_into).  Every lane is bitwise identical to estimate_into()
-//     -- the differential property tier asserts this across batch sizes.
-//   * estimate_delta() -- the incremental path the hill climb and the
-//     adaptive repartition scorer run on: a configuration one +/-1 move
-//     away from a cached baseline (bind_delta) is scored by reusing the
-//     baseline's validation, active-group gather, and weight-sum prefix,
-//     recomputing only the Eq. 3 shares and the Eq. 4/5 folds.  Bitwise
-//     identical to estimate_into() on the moved configuration.
+//     identical to estimate() -- the property tier asserts this.  Binary
+//     search probes, baselines and the starvation fallback run here.
+//   * estimate_delta() -- the incremental path every chain of +/-1 moves
+//     runs on (the exhaustive sweep's Gray-code walk, the Linear-search
+//     prefill, the hill climb, the adaptive repartition scorer): a
+//     configuration one move away from a cached baseline (bind_delta) is
+//     scored by reusing the baseline's validation, active-group gather,
+//     and weight-sum prefix, recomputing only the Eq. 3 shares and the
+//     Eq. 4/5 folds.  Bitwise identical to estimate_into() on the moved
+//     configuration.
 #pragma once
 
 #include <atomic>
@@ -73,70 +68,6 @@ struct FastEstimate {
   double t_elapsed_ms = 0.0;
 };
 
-/// Struct-of-arrays scratch for CycleEstimator::estimate_batch().  One
-/// batch advances up to kLanes candidate configurations through every
-/// evaluation stage together; per-stage buffers are lane-interleaved so the
-/// per-config dependent chains become independent per-lane chains.  The
-/// per-cluster constant tables (weights, op times, fitted coefficients) are
-/// bound to one estimator on first use and rebuilt only when a different
-/// estimator borrows the scratch -- steady-state batches with a fixed
-/// estimator perform zero heap allocations.
-struct BatchScratch {
-  /// Lane width: candidate configurations evaluated per SoA pass.  The
-  /// per-lane dependent chains (Eq. 3 weight sum, share divisions) are
-  /// mutually independent across lanes; sixteen of them keep the divider
-  /// and the out-of-order window fed while amortising each stage's loop
-  /// setup (bounds loads, pointer arithmetic, the starved-mask fold) over
-  /// twice the work of the original 8-wide engine.  The per-lane state the
-  /// stages keep live is a handful of scalars, so 16 lanes still fit the
-  /// register file comfortably; widening further showed no gain on the
-  /// hotpath bench while growing the scratch footprint.
-  static constexpr int kLanes = 16;
-
-  /// Identity of the estimator the constant tables below were built for
-  /// (CycleEstimator::binding_id(); 0 = unbound).  Address comparison is
-  /// not enough: a stack-constructed estimator can reuse the address of a
-  /// dead one (the svc workers do exactly that, one estimator per cold
-  /// request).
-  std::uint64_t bound_id = 0;
-
-  // Per-cluster constants, resolved once per binding (indexed by ClusterId).
-  std::vector<double> inv_s;       ///< Eq. 3 weight 1/S_i (flop seconds)
-  std::vector<double> comp_ms;     ///< Eq. 4 prefix s_ms * ops_per_pdu
-  std::vector<int> capacity;       ///< cluster sizes (validation)
-  std::vector<char> has_fit;       ///< dominant-topology comm fit present
-  std::vector<Eq1Fit> fit;         ///< by-value Eq. 1 fits (where has_fit)
-  std::vector<double> router_i, router_s;  ///< per ordered pair, K*K
-  std::vector<double> coerce_i, coerce_s;  ///< zero when no coercion fit
-  std::vector<char> has_router;
-
-  // SoA lane state (lane-major, stride = cluster count).  Scalar per-lane
-  // values (group counts, totals, weight sums) live on estimate_lanes()'s
-  // stack; only the variable-length per-group state needs heap room.
-  std::vector<double> group_w;     ///< active-group Eq. 3 weights
-  std::vector<int> group_p;        ///< active-group processor counts
-  std::vector<ClusterId> group_c;  ///< active-group cluster ids
-  std::vector<std::int64_t> share_base;  ///< Eq. 3 floor shares
-  std::vector<double> share_frac;        ///< matching fractional parts
-  std::vector<std::int64_t> ranks_before;  ///< rank-kernel output per lane
-  std::vector<double> group_bytes; ///< per-group message bytes (as double)
-  std::vector<std::int64_t> max_a; ///< per-lane per-group max A_i
-
-  /// Memo for the dominant communication phase's bytes_per_message
-  /// callback (a std::function, the one indirect call the batch cannot
-  /// hoist).  Spec callbacks are fixed for the estimator's lifetime, so
-  /// caching by A_i is exact.  For the common case (num_PDUs small enough)
-  /// `bytes_cache` is indexed directly by A_i (-1 = empty): one load per
-  /// group, no hashing, no collisions.  Above kBytesDirectMax PDUs the
-  /// direct table would outgrow the data cache, so a direct-mapped hash
-  /// memo takes over.  Both are cleared on rebinding.
-  static constexpr std::int64_t kBytesDirectMax = std::int64_t{1} << 16;
-  std::vector<std::int64_t> bytes_cache;  ///< [0, num_pdus]; empty if large
-  static constexpr int kBytesMemoBits = 9;
-  std::vector<std::int64_t> memo_key;  ///< A_i + 1; 0 = empty
-  std::vector<std::int64_t> memo_val;
-};
-
 /// Cached baseline for CycleEstimator::estimate_delta(): one evaluated
 /// configuration plus the gather-stage state a single +/-1 rescoring can
 /// reuse.  A move changes the Eq. 3 weight sum, hence every group's ideal
@@ -147,9 +78,38 @@ struct BatchScratch {
 /// bind_delta(); rebind after the estimator or the baseline changes by any
 /// path other than commit_delta().
 struct DeltaScratch {
-  /// Estimator the cache belongs to (CycleEstimator::binding_id();
-  /// 0 = unbound).
+  /// Estimator the cache and the constant tables belong to
+  /// (CycleEstimator::binding_id(); 0 = unbound).  Address comparison is
+  /// not enough: a stack-constructed estimator can reuse the address of a
+  /// dead one (the svc workers do exactly that, one estimator per cold
+  /// request).
   std::uint64_t bound_id = 0;
+
+  // Per-cluster constants (indexed by ClusterId), built by bind_delta only
+  // when the scratch changes estimator -- binding a new baseline against
+  // the same estimator reuses them, so a warm scratch allocates nothing.
+  std::vector<double> inv_s;       ///< Eq. 3 weight 1/S_i (flop seconds)
+  std::vector<double> comp_ms;     ///< Eq. 4 prefix s_ms * ops_per_pdu
+  std::vector<int> capacity;       ///< cluster sizes (validation)
+  std::vector<char> has_fit;       ///< dominant-topology comm fit present
+  std::vector<Eq1Fit> fit;         ///< by-value Eq. 1 fits (where has_fit)
+  std::vector<double> router_i, router_s;  ///< per ordered pair, K*K
+  std::vector<double> coerce_i, coerce_s;  ///< zero when no coercion fit
+  std::vector<char> has_router;
+
+  /// Memo for the dominant communication phase's bytes_per_message
+  /// callback (a std::function, the one indirect call per group the
+  /// tables cannot hoist).  Spec callbacks are fixed for the estimator's
+  /// lifetime, so caching by A_i is exact.  For the common case (num_PDUs
+  /// small enough) `bytes_cache` is indexed directly by A_i (-1 = empty):
+  /// one load per group, no hashing, no collisions.  Above kBytesDirectMax
+  /// PDUs the direct table would outgrow the data cache, so a
+  /// direct-mapped hash memo takes over.  Both are cleared on rebinding.
+  static constexpr std::int64_t kBytesDirectMax = std::int64_t{1} << 16;
+  std::vector<std::int64_t> bytes_cache;  ///< [0, num_pdus]; empty if large
+  static constexpr int kBytesMemoBits = 9;
+  std::vector<std::int64_t> memo_key;  ///< A_i + 1; 0 = empty
+  std::vector<std::int64_t> memo_val;
 
   ProcessorConfig config;  ///< the cached baseline configuration
   int total_p = 0;         ///< config_total(config)
@@ -167,17 +127,25 @@ struct DeltaScratch {
   /// prefix_w[groups] is the full baseline sum.
   std::vector<double> prefix_w;
 
-  // Patched-lane staging (the moved configuration's groups and shares).
-  // Sized to the cluster count + 1 on first bind; steady-state delta
-  // evaluations allocate nothing.
+  // Patched-lane staging (the moved configuration's groups, weight-sum
+  // partials, and shares).  Sized to the cluster count + 1 on first bind;
+  // steady-state delta evaluations allocate nothing.
   std::vector<double> lane_w;
   std::vector<int> lane_p;
   std::vector<ClusterId> lane_c;
+  std::vector<double> lane_prefix;
   std::vector<std::int64_t> lane_base;
   std::vector<double> lane_frac;
   std::vector<std::int64_t> lane_rb;
   std::vector<std::int64_t> lane_max_a;
   std::vector<double> lane_bytes;
+
+  /// The move the lane staging above describes (-1 = none): commit_delta
+  /// of exactly this move adopts the staged groups and partials instead of
+  /// regathering -- a probe-then-commit chain pays for one gather per step.
+  ClusterId staged_cluster = -1;
+  int staged_delta = 0;
+  int staged_groups = 0;
 
   /// Staging for the starvation fallback (the rare configuration the
   /// closed form cannot serve replays through estimate_into on this
@@ -186,7 +154,7 @@ struct DeltaScratch {
 };
 
 /// Reusable buffers for CycleEstimator::estimate_into() /
-/// estimate_batch() and the search drivers.  Strictly one owner thread at
+/// estimate_delta() and the search drivers.  Strictly one owner thread at
 /// a time -- never share a scratch across threads (the svc worker pool
 /// keeps one per worker, the work-stealing exhaustive sweep one per
 /// worker).  Buffers grow to the network's cluster count on first use and
@@ -197,12 +165,6 @@ struct EstimatorScratch {
   /// read the delta across a search and merge it into the estimator's
   /// evaluations() plus the batched `estimator.evaluations` counter.
   std::uint64_t evaluations = 0;
-
-  /// Of `evaluations`, how many ran through estimate_batch()'s lane engine
-  /// (the scalar remainder lane and starve fallbacks count as plain
-  /// fast-path evaluations).  Drivers fold the delta into the
-  /// `estimator.batch_evals` telemetry counter.
-  std::uint64_t batch_evaluations = 0;
 
   /// Of `evaluations`, how many ran through estimate_delta()'s patched
   /// single-lane path (the starvation fallback replays through
@@ -218,20 +180,15 @@ struct EstimatorScratch {
   std::vector<std::int64_t> max_a;       ///< per active cluster max A_i
   std::vector<double> objective_cache;   ///< ClusterObjective memo (NaN=empty)
 
-  /// Lane-parallel engine state (see BatchScratch).  Embedded here so every
-  /// existing scratch owner -- svc workers above all -- reuses warm batch
-  /// buffers without new plumbing.
-  BatchScratch batch;
-
   /// Delta-evaluation baseline cache (see DeltaScratch).  Embedded so the
-  /// hill climb and the adaptive repartition scorer reuse warm buffers
-  /// through the scratch they already hold.
+  /// searches, the hill climb and the adaptive repartition scorer reuse
+  /// warm buffers and constant tables through the scratch they already
+  /// hold.
   DeltaScratch delta;
 
-  /// Candidate/result staging for batched search drivers (start-set
-  /// assembly, linear-scan prefills).  Reused across searches.
-  std::vector<ProcessorConfig> batch_configs;
-  std::vector<FastEstimate> batch_results;
+  /// Candidate staging for the general partitioner's start-set assembly.
+  /// Reused across searches.
+  std::vector<ProcessorConfig> start_configs;
 };
 
 class CycleEstimator {
@@ -256,18 +213,11 @@ class CycleEstimator {
   FastEstimate estimate_into(const ProcessorConfig& config,
                              EstimatorScratch& scratch) const;
 
-  /// Evaluate `count` configurations through the lane-parallel engine:
-  /// whole groups of BatchScratch::kLanes advance through the SoA stages
-  /// together, the remainder finishes on a scalar lane (estimate_into).
-  /// out[i] is bitwise identical to estimate_into(configs[i], scratch) on
-  /// every cost field, for every batch size including 0 and 1.
-  /// Allocation-free once `scratch` has warmed up against this estimator.
-  /// Thread-safe for concurrent calls with distinct scratches.
-  void estimate_batch(const ProcessorConfig* configs, std::size_t count,
-                      FastEstimate* out, EstimatorScratch& scratch) const;
-
   /// Cache `config` as `d`'s delta baseline and return its estimate
-  /// (bitwise estimate_into; counts one evaluation).  Subsequent
+  /// (bitwise estimate_into; counts one evaluation).  Builds `d`'s
+  /// per-cluster constant tables when `d` was bound to a different
+  /// estimator (allocates); rebinding against the same one does not.
+  /// Subsequent
   /// estimate_delta()/commit_delta() calls against `d` are valid until the
   /// estimator or the baseline changes by any other path.
   FastEstimate bind_delta(const ProcessorConfig& config, DeltaScratch& d,
@@ -291,12 +241,15 @@ class CycleEstimator {
   /// Apply a move to `d`'s cached baseline: the baseline becomes the moved
   /// configuration and the gather cache is refreshed.  No evaluation is
   /// performed (the caller already holds the move's estimate from
-  /// estimate_delta).
+  /// estimate_delta).  When the last estimate_delta against `d` scored
+  /// this same move, its staged groups and weight-sum partials become the
+  /// new cache as they are; any other move regathers from the moved
+  /// configuration.
   void commit_delta(ClusterId cluster, int delta, DeltaScratch& d,
                     EstimatorScratch& scratch) const;
 
-  /// Identity for BatchScratch binding (never 0; see
-  /// BatchScratch::bound_id).
+  /// Identity for DeltaScratch binding (never 0; see
+  /// DeltaScratch::bound_id).
   std::uint64_t binding_id() const { return binding_id_; }
 
   /// Clusters ordered fastest-first; partition vectors and placements are
@@ -322,17 +275,12 @@ class CycleEstimator {
 
  private:
   CycleEstimate estimate_impl(const ProcessorConfig& config) const;
-  /// Rebuild `batch`'s per-cluster constant tables when it is bound to a
-  /// different estimator (allocates); no-op on the steady-state path.
-  void ensure_batch_bound(BatchScratch& batch) const;
-  /// One full lane group (BatchScratch::kLanes configurations) through the
-  /// SoA stages; lanes the closed form cannot serve divert to
-  /// estimate_into.
-  void estimate_lanes(const ProcessorConfig* configs, FastEstimate* out,
-                      EstimatorScratch& scratch) const;
+  /// Rebuild `d`'s per-cluster constant tables and clear its bytes memo
+  /// (allocates; bind_delta calls it only on an estimator change).
+  void bind_delta_tables(DeltaScratch& d) const;
   /// Rebuild `d`'s gather cache (active groups, weight-sum prefixes) from
-  /// d.config.  Reads the bound per-cluster tables in scratch.batch.
-  void rebuild_delta_cache(DeltaScratch& d, EstimatorScratch& scratch) const;
+  /// d.config.  Reads the bound per-cluster tables in `d`.
+  void rebuild_delta_cache(DeltaScratch& d) const;
   double comm_cost_ms(const ProcessorConfig& config,
                       const PartitionVector& partition) const;
   /// Shared Eq. 1/2/5 evaluation once the per-cluster max A_i are known.

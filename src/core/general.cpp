@@ -77,13 +77,12 @@ PartitionResult general_partition(const CycleEstimator& estimator,
   std::uint64_t evaluations = 0;
   EstimatorScratch local_scratch;
   EstimatorScratch& sc = scratch != nullptr ? *scratch : local_scratch;
-  const std::uint64_t batch_evals_before = sc.batch_evaluations;
   const std::uint64_t delta_evals_before = sc.delta_evaluations;
 
   // Deterministic starting points, staged in the scratch's reusable
   // config buffer (assignment into a retained ProcessorConfig reuses its
   // capacity, so a warm scratch assembles the start set allocation-free).
-  auto& starts = sc.batch_configs;
+  auto& starts = sc.start_configs;
   std::size_t num_starts = 0;
   const auto add_start = [&](const ProcessorConfig& config) {
     if (starts.size() <= num_starts) starts.resize(num_starts + 1);
@@ -148,9 +147,6 @@ PartitionResult general_partition(const CycleEstimator& estimator,
   obs::TelemetryRegistry::global()
       .counter("estimator.evaluations")
       .add(evaluations + 1);
-  obs::TelemetryRegistry::global()
-      .counter("estimator.batch_evals")
-      .add(sc.batch_evaluations - batch_evals_before);
   obs::TelemetryRegistry::global()
       .counter("estimator.delta_evals")
       .add(sc.delta_evaluations - delta_evals_before);

@@ -54,27 +54,20 @@ class ClusterObjective {
     return slot;
   }
 
-  /// Batch-score f(lo..hi) into the memo through estimate_batch: the
-  /// linear scan's probe set is known up front, so the lane engine can
-  /// overlap the evaluations.  Exactly hi-lo+1 evaluations, bitwise the
-  /// values the scalar scan would have cached.  (Binary search stays
-  /// scalar -- it probes adaptively.)
+  /// Score f(lo..hi) into the memo as one chain of +1 moves on the delta
+  /// path: bind at lo, then one estimate_delta + commit_delta per step
+  /// (the commit adopts the probe's staged gather).  Exactly hi-lo+1
+  /// evaluations, bitwise the values the scalar scan would have cached.
+  /// (Binary search stays scalar -- it probes adaptively.)
   void prefill(int lo, int hi) {
-    auto& candidates = scratch_.batch_configs;
-    auto& results = scratch_.batch_results;
-    const auto n = static_cast<std::size_t>(hi - lo + 1);
-    if (candidates.size() < n) candidates.resize(n);
-    if (results.size() < n) results.resize(n);
-    for (int p = lo; p <= hi; ++p) {
-      ProcessorConfig& candidate = candidates[static_cast<std::size_t>(p - lo)];
-      candidate = config_;
-      candidate[static_cast<std::size_t>(cluster_)] = p;
-    }
-    estimator_.estimate_batch(candidates.data(), n, results.data(),
-                              scratch_);
-    for (int p = lo; p <= hi; ++p) {
+    DeltaScratch& d = scratch_.delta;
+    config_[static_cast<std::size_t>(cluster_)] = lo;
+    cache_[static_cast<std::size_t>(lo)] =
+        estimator_.bind_delta(config_, d, scratch_).t_c_ms;
+    for (int p = lo + 1; p <= hi; ++p) {
       cache_[static_cast<std::size_t>(p)] =
-          results[static_cast<std::size_t>(p - lo)].t_c_ms;
+          estimator_.estimate_delta(cluster_, +1, d, scratch_).t_c_ms;
+      estimator_.commit_delta(cluster_, +1, d, scratch_);
     }
   }
 
@@ -104,7 +97,7 @@ int unimodal_argmin(ClusterObjective& f, int lo, int hi,
 }
 
 /// Plain scan, robust to multiple minima.  The whole domain is scored in
-/// one batched pass first; the scan then reads the memo.  Strict < keeps
+/// one delta chain first; the scan then reads the memo.  Strict < keeps
 /// the first minimum, exactly like the scalar scan did.
 int linear_argmin(ClusterObjective& f, int lo, int hi) {
   f.prefill(lo, hi);
@@ -213,53 +206,90 @@ namespace {
 /// One work-stealing sweep worker's state and result.
 struct SweepWorker {
   EstimatorScratch scratch;
-  ProcessorConfig best_config;
   double best_tc = std::numeric_limits<double>::infinity();
-  std::uint64_t best_index = ~std::uint64_t{0};
+  std::uint64_t best_index = ~std::uint64_t{0};  ///< odometer index
   std::uint64_t chunks = 0;  ///< chunks claimed from the shared cursor
   std::exception_ptr error;
 };
 
 /// Work-stealing sweep: workers repeatedly claim [begin, begin+chunk)
-/// index ranges off one atomic cursor until the space is drained, so a
+/// rank ranges off one atomic cursor until the space is drained, so a
 /// worker that lands on cheap configurations simply claims more chunks
-/// instead of idling (the static sharding this replaces stalled on the
-/// slowest shard).  Index i maps to the mixed-radix odometer state with
-/// digit d (cluster d) equal to i / prod(N_0+1 .. N_{d-1}+1) mod (N_d+1)
-/// -- digit 0 least significant, matching the serial odometer's increment
-/// order.  Within a chunk, valid configurations are gathered into lane
-/// groups and scored through estimate_batch.
+/// instead of idling.  Ranks enumerate the space in mixed-radix reflected
+/// Gray-code order: Gray digit i is cluster order[K-1-i] with radix
+/// N_c + 1, so the fastest-moving digit is the last cluster in placement
+/// order (its move splices the delta cache at the tail, the cheapest
+/// splice), and consecutive ranks differ in one cluster by +/-1.  A chunk
+/// is therefore one bind_delta followed by a chain of estimate_delta +
+/// commit_delta steps.
 ///
-/// Determinism: fetch_add hands each worker strictly increasing begins and
-/// indices increase within a chunk, so strict < keeps each worker's
-/// first-minimum; the (t_c, index) lexicographic merge in
-/// exhaustive_partition then recovers the globally first minimum whatever
-/// the steal interleaving was.
+/// Determinism: ties resolve to the first minimum of a plain odometer scan
+/// (digit d = cluster d, digit 0 least significant).  Gray order does not
+/// visit configurations in odometer order, so each worker keeps the
+/// lexicographic minimum of (t_c, odometer index), and the merge in
+/// exhaustive_partition takes the same minimum across workers -- the
+/// odometer's first minimum whatever the steal interleaving.
 void run_sweep_worker(const CycleEstimator& estimator,
                       const AvailabilitySnapshot& snapshot,
                       std::atomic<std::uint64_t>& cursor,
                       std::uint64_t space, std::uint64_t chunk,
                       std::uint64_t chaos_yield_seed, SweepWorker& worker) {
   try {
-    constexpr int kLanes = BatchScratch::kLanes;
-    ProcessorConfig config(snapshot.available.size(), 0);
-    auto& lane_configs = worker.scratch.batch_configs;
-    auto& lane_results = worker.scratch.batch_results;
-    if (lane_configs.size() < static_cast<std::size_t>(kLanes)) {
-      lane_configs.resize(static_cast<std::size_t>(kLanes));
+    const std::vector<ClusterId>& order = estimator.cluster_order();
+    const std::size_t k = order.size();
+    // Per Gray digit: cluster, radix, odometer stride, direction (+1/-1).
+    // The digit's value is config[cluster[i]].
+    std::vector<ClusterId> cluster(k);
+    std::vector<int> radix(k);
+    std::vector<std::uint64_t> stride(k);
+    std::vector<int> dir(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      cluster[i] = order[k - 1 - i];
+      const auto ci = static_cast<std::size_t>(cluster[i]);
+      radix[i] = snapshot.available[ci] + 1;
+      stride[i] = 1;
+      for (std::size_t e = 0; e < ci; ++e) {
+        stride[i] *= static_cast<std::uint64_t>(snapshot.available[e]) + 1;
+      }
     }
-    if (lane_results.size() < static_cast<std::size_t>(kLanes)) {
-      lane_results.resize(static_cast<std::size_t>(kLanes));
-    }
-    std::uint64_t lane_index[kLanes];
+    ProcessorConfig config(k, 0);
+    std::uint64_t index = 0;
+    // The running minimum lives in locals and is published once at the
+    // end: the worker slots sit side by side in one vector, so a per-step
+    // read of the slot would share a cache line with the next worker's
+    // per-step evaluation counter.
+    double best_tc = std::numeric_limits<double>::infinity();
+    std::uint64_t best_index = ~std::uint64_t{0};
+    std::uint64_t chunks = 0;
+    // Advance one rank: the lowest digit that can still move in its
+    // direction moves; every digit below it sits on a reflection boundary
+    // and turns around.  Returns the digit that moved.
+    const auto step = [&] {
+      std::size_t i = 0;
+      for (;; ++i) {
+        const int moved =
+            config[static_cast<std::size_t>(cluster[i])] + dir[i];
+        if (moved >= 0 && moved < radix[i]) break;
+        dir[i] = -dir[i];
+      }
+      config[static_cast<std::size_t>(cluster[i])] += dir[i];
+      index = dir[i] > 0 ? index + stride[i] : index - stride[i];
+      return i;
+    };
+    const auto consider = [&](double tc) {
+      if (tc < best_tc || (tc == best_tc && index < best_index)) {
+        best_tc = tc;
+        best_index = index;
+      }
+    };
+    DeltaScratch& d = worker.scratch.delta;
     for (;;) {
       NP_ATOMIC_RMW(&cursor, "core.sweep.cursor");
       const std::uint64_t begin =
           cursor.fetch_add(chunk, std::memory_order_relaxed);
       if (begin >= space) break;
       const std::uint64_t end = std::min(begin + chunk, space);
-      NP_WRITE(&worker, "core.sweep.worker_slot");
-      ++worker.chunks;
+      ++chunks;
       if (chaos_yield_seed != 0) {
         // Seeded schedule perturbation for the chaos/TSan tier: yield on a
         // deterministic-per-chunk pattern so steal interleavings vary
@@ -270,49 +300,41 @@ void run_sweep_worker(const CycleEstimator& estimator,
         if ((h & 3) == 0) std::this_thread::yield();
       }
 
-      std::uint64_t idx = begin;
-      for (std::size_t d = 0; d < config.size(); ++d) {
-        const auto radix =
-            static_cast<std::uint64_t>(snapshot.available[d]) + 1;
-        config[d] = static_cast<int>(idx % radix);
-        idx /= radix;
+      // Decode rank `begin`: digit i's plain mixed-radix value a, and its
+      // direction -- forward while the rank's higher part (the rank over
+      // the product of radices 0..i) is even, reflected while it is odd.
+      std::uint64_t rest = begin;
+      index = 0;
+      for (std::size_t i = 0; i < k; ++i) {
+        const auto m = static_cast<std::uint64_t>(radix[i]);
+        const auto a = static_cast<int>(rest % m);
+        rest /= m;
+        dir[i] = (rest & 1) == 0 ? 1 : -1;
+        const int value = dir[i] > 0 ? a : radix[i] - 1 - a;
+        config[static_cast<std::size_t>(cluster[i])] = value;
+        index += static_cast<std::uint64_t>(value) * stride[i];
       }
-      std::uint64_t i = begin;
-      while (i < end) {
-        int gathered = 0;
-        while (i < end && gathered < kLanes) {
-          if (config_total(config) > 0) {
-            lane_configs[static_cast<std::size_t>(gathered)] = config;
-            lane_index[gathered] = i;
-            ++gathered;
-          }
-          ++i;
-          std::size_t digit = 0;
-          while (digit < config.size()) {
-            if (config[digit] < snapshot.available[digit]) {
-              ++config[digit];
-              break;
-            }
-            config[digit] = 0;
-            ++digit;
-          }
-        }
-        estimator.estimate_batch(lane_configs.data(),
-                                 static_cast<std::size_t>(gathered),
-                                 lane_results.data(), worker.scratch);
-        for (int j = 0; j < gathered; ++j) {
-          const double tc = lane_results[static_cast<std::size_t>(j)].t_c_ms;
-          // Strict improvement keeps the first (lowest-index) minimum the
-          // worker has seen, which is what the serial scan returns on ties.
-          if (tc < worker.best_tc) {
-            NP_WRITE(&worker, "core.sweep.worker_slot");
-            worker.best_tc = tc;
-            worker.best_config = lane_configs[static_cast<std::size_t>(j)];
-            worker.best_index = lane_index[j];
-          }
-        }
+      std::uint64_t rank = begin;
+      if (rank == 0) {
+        // Rank 0 is the all-zero configuration, which selects nothing.
+        if (end == 1) continue;
+        step();
+        ++rank;
+      }
+      consider(estimator.bind_delta(config, d, worker.scratch).t_c_ms);
+      while (++rank < end) {
+        const std::size_t i = step();
+        const double tc =
+            estimator.estimate_delta(cluster[i], dir[i], d, worker.scratch)
+                .t_c_ms;
+        estimator.commit_delta(cluster[i], dir[i], d, worker.scratch);
+        consider(tc);
       }
     }
+    NP_WRITE(&worker, "core.sweep.worker_slot");
+    worker.best_tc = best_tc;
+    worker.best_index = best_index;
+    worker.chunks = chunks;
   } catch (...) {
     NP_WRITE(&worker, "core.sweep.worker_slot");
     worker.error = std::current_exception();
@@ -363,16 +385,13 @@ PartitionResult exhaustive_partition(const CycleEstimator& estimator,
       static_cast<std::uint64_t>(threads), space));
 
   // Chunk size for the steal cursor: small enough that every worker gets
-  // many claims (load balance), large enough to amortise the fetch_add and
-  // odometer re-seed.  Rounded up to the lane width so full chunks decode
-  // into whole lane groups.
+  // many claims (load balance), large enough to amortise the fetch_add,
+  // the Gray-code re-seed and the chunk's bind_delta.
   std::uint64_t chunk = options.chunk;
   if (chunk == 0) {
     chunk = std::clamp<std::uint64_t>(
         space / (static_cast<std::uint64_t>(threads) * 8) + 1, 64, 16384);
   }
-  constexpr auto kLanes = static_cast<std::uint64_t>(BatchScratch::kLanes);
-  chunk = (chunk + kLanes - 1) / kLanes * kLanes;
 
   std::vector<SweepWorker> workers(static_cast<std::size_t>(threads));
   std::atomic<std::uint64_t> cursor{0};
@@ -399,38 +418,38 @@ PartitionResult exhaustive_partition(const CycleEstimator& estimator,
     NP_THREAD_JOIN(&cursor, "core.sweep.pool");
   }
 
-  ProcessorConfig best_config;
   double best_tc = std::numeric_limits<double>::infinity();
   std::uint64_t best_index = ~std::uint64_t{0};
   std::uint64_t total_evals = 0;
-  std::uint64_t total_batch_evals = 0;
   std::uint64_t steals = 0;
   for (auto& worker : workers) {
     NP_READ(&worker, "core.sweep.worker_slot");
     if (worker.error) std::rethrow_exception(worker.error);
     total_evals += worker.scratch.evaluations;
-    total_batch_evals += worker.scratch.batch_evaluations;
     // A worker's first claim is its own assignment; each further claim is
     // a steal from the shared remainder of the space.
     if (worker.chunks > 1) steals += worker.chunks - 1;
-    // Workers claim chunks in arbitrary interleavings, so enumeration
-    // order across workers is lost; (t_c, index) lexicographic merge
-    // recovers the globally first minimum -- bit-identical to serial.
+    // The same (t_c, odometer index) lexicographic minimum the workers
+    // keep: the globally first minimum in odometer order, whatever the
+    // claim interleaving -- bit-identical at every thread count.
     if (worker.best_tc < best_tc ||
         (worker.best_tc == best_tc && worker.best_index < best_index)) {
       best_tc = worker.best_tc;
-      best_config = worker.best_config;
       best_index = worker.best_index;
     }
   }
-  NP_ASSERT(!best_config.empty());
+  NP_ASSERT(best_index != ~std::uint64_t{0});
+  ProcessorConfig best_config(snapshot.available.size(), 0);
+  std::uint64_t rest = best_index;
+  for (std::size_t d = 0; d < best_config.size(); ++d) {
+    const auto radix = static_cast<std::uint64_t>(snapshot.available[d]) + 1;
+    best_config[d] = static_cast<int>(rest % radix);
+    rest /= radix;
+  }
   estimator.merge_evaluations(total_evals);
   static obs::Counter& steals_counter =
       telemetry.counter("partitioner.steals");
-  static obs::Counter& batch_evals_counter =
-      telemetry.counter("estimator.batch_evals");
   steals_counter.add(steals);
-  batch_evals_counter.add(total_batch_evals);
 
   PartitionResult result{
       best_config, estimator.estimate(best_config),

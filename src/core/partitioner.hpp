@@ -41,15 +41,16 @@ struct ExhaustiveOptions {
   /// Worker threads for the product-space sweep.  0 = one per hardware
   /// thread; 1 = serial (useful as the determinism reference).  The sweep
   /// is deterministic at every thread count: ties on T_c resolve to the
-  /// lowest enumeration index, exactly like the serial scan.
+  /// lowest odometer index (cluster 0 the least significant digit),
+  /// exactly like a plain odometer scan.
   int threads = 0;
 
-  /// Enumeration indices claimed per steal from the shared cursor.  0 =
-  /// auto (space / (8 * threads), clamped to [64, 16384]).  Always rounded
-  /// up to the estimator's batch lane width.  Small chunks stress the
-  /// work-stealing protocol (useful in tests); large chunks amortise the
-  /// atomic claim.  Any value yields the same result -- chunking affects
-  /// schedule, not the (t_c, index) merge.
+  /// Gray-code ranks claimed per steal from the shared cursor; each chunk
+  /// costs one bind_delta, then one delta step per rank.  0 = auto
+  /// (space / (8 * threads), clamped to [64, 16384]).  Small chunks stress
+  /// the work-stealing protocol (useful in tests); large chunks amortise
+  /// the atomic claim and the bind.  Any value yields the same result --
+  /// chunking affects schedule, not the (t_c, odometer index) merge.
   std::uint64_t chunk = 0;
 
   /// Nonzero: inject deterministic pseudo-random yields into workers'
@@ -82,11 +83,14 @@ PartitionResult partition(const CycleEstimator& estimator,
 /// (0..N_i per cluster) and return the estimator's argmin.  Exponential in
 /// the cluster count; used to validate the heuristic in ablation studies.
 /// `options.threads` workers drain the space via chunked work stealing
-/// (an atomic cursor over odometer index ranges), each scoring lane groups
-/// through estimate_batch with its own scratch; worker minima are merged
-/// lexicographically by (T_c, enumeration index), so the chosen
-/// configuration is bitwise identical at every thread count and chunk
-/// size.
+/// (an atomic cursor over rank ranges of a mixed-radix reflected Gray
+/// code), each walking its chunk as one delta chain -- bind_delta, then an
+/// estimate_delta + commit_delta per +/-1 step -- with its own scratch,
+/// the third of the estimator's three evaluation paths next to estimate()
+/// (the winner's materialisation) and estimate_into().  Minima are kept
+/// lexicographically by (T_c, odometer index), so the chosen configuration
+/// and the evaluation count are bitwise identical at every thread count
+/// and chunk size.
 PartitionResult exhaustive_partition(const CycleEstimator& estimator,
                                      const AvailabilitySnapshot& snapshot,
                                      const ExhaustiveOptions& options = {});

@@ -182,10 +182,11 @@ ServiceReply PartitionService::query(const PartitionRequest& request) {
 
 void PartitionService::worker_loop() {
   // One scratch per worker thread, reused across every cold compute this
-  // worker ever runs (see EstimatorScratch's single-owner contract).  The
-  // embedded BatchScratch rebinds itself when the request's stack-local
-  // CycleEstimator changes (binding id, not address), so batch buffers and
-  // coefficient tables also amortise across requests.
+  // worker ever runs (see EstimatorScratch's single-owner contract).  All
+  // three evaluation paths draw on it: estimate_into's buffers, and the
+  // embedded DeltaScratch, whose coefficient tables bind_delta rebuilds
+  // when the request's stack-local CycleEstimator changes (binding id, not
+  // address) -- so delta buffers also amortise across requests.
   EstimatorScratch scratch;
   NP_THREAD_START(this, "svc.service.workers");
   for (;;) {

@@ -115,7 +115,38 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomTraffic,
 // locked down here: npcheck's lints flag the inputs that could produce
 // one (NaN-prone fitted models, zero-processor clusters), and for valid
 // but degenerate inputs -- single-processor segments, PDU counts at the
-// starvation edge -- every cost field stays finite, scalar and batched.
+// starvation edge -- every cost field stays finite, scalar and delta.
+
+/// Walk `scratch.delta`'s baseline to `target` as a delta chain -- one
+/// +/-1 move at a time, each an estimate_delta then a commit_delta of the
+/// same move -- and return the last step's estimate, i.e. `target`'s
+/// estimate on the delta path (a zero move when already there).
+/// Removals run before additions, and the last selected processor goes
+/// only once an addition has happened, so the running total never leaves
+/// [1, max(source, target, 2)].
+FastEstimate delta_walk(const CycleEstimator& est,
+                        const ProcessorConfig& target,
+                        EstimatorScratch& scratch) {
+  DeltaScratch& d = scratch.delta;
+  FastEstimate last = est.estimate_delta(0, 0, d, scratch);
+  const auto step = [&](std::size_t c, int delta) {
+    last = est.estimate_delta(static_cast<ClusterId>(c), delta, d, scratch);
+    est.commit_delta(static_cast<ClusterId>(c), delta, d, scratch);
+  };
+  for (;;) {
+    for (std::size_t c = 0; c < target.size(); ++c) {
+      while (d.config[c] > target[c] && d.total_p > 1) step(c, -1);
+    }
+    std::size_t grow = 0;
+    while (grow < target.size() && d.config[grow] >= target[grow]) ++grow;
+    if (grow == target.size()) break;
+    step(grow, +1);
+  }
+  for (std::size_t c = 0; c < target.size(); ++c) {
+    while (d.config[c] > target[c]) step(c, -1);
+  }
+  return last;
+}
 
 ProcessorType fuzz_proc(const char* name, int flop_ns) {
   ProcessorType type;
@@ -156,7 +187,7 @@ TEST(DegenerateInputs, SingleProcessorSegmentsStayFiniteAndBatchExact) {
   // A singleton cluster has no intra-cluster benchmark, so model lint
   // warns (NP-M006) and the estimator substitutes its conservative proxy
   // -- which must still be finite and bitwise identical across the
-  // scalar and batched engines.
+  // scalar engine and a delta chain through the configurations.
   const std::vector<Cluster> clusters = {
       Cluster(0, "lone", fuzz_proc("fast", 200), 0, 1),
       Cluster(1, "farm", fuzz_proc("slow", 400), 1, 5)};
@@ -179,17 +210,16 @@ TEST(DegenerateInputs, SingleProcessorSegmentsStayFiniteAndBatchExact) {
   CycleEstimator est(net, cal.db, spec);
   const std::vector<ProcessorConfig> configs = {
       {1, 0}, {1, 1}, {0, 5}, {1, 5}, {1, 3}, {0, 1}};
-  std::vector<FastEstimate> batched(configs.size());
-  EstimatorScratch batch_scratch;
-  est.estimate_batch(configs.data(), configs.size(), batched.data(),
-                     batch_scratch);
+  EstimatorScratch delta_scratch;
+  est.bind_delta(configs.front(), delta_scratch.delta, delta_scratch);
   EstimatorScratch scalar_scratch;
   for (std::size_t i = 0; i < configs.size(); ++i) {
+    const FastEstimate got = delta_walk(est, configs[i], delta_scratch);
     const FastEstimate want = est.estimate_into(configs[i], scalar_scratch);
     ASSERT_TRUE(std::isfinite(want.t_c_ms)) << "config " << i;
     ASSERT_TRUE(std::isfinite(want.t_comm_ms)) << "config " << i;
-    ASSERT_EQ(want.t_c_ms, batched[i].t_c_ms) << "config " << i;
-    ASSERT_EQ(want.t_comm_ms, batched[i].t_comm_ms) << "config " << i;
+    ASSERT_EQ(want.t_c_ms, got.t_c_ms) << "config " << i;
+    ASSERT_EQ(want.t_comm_ms, got.t_comm_ms) << "config " << i;
   }
 }
 
@@ -200,8 +230,9 @@ TEST_P(StarvationPressure, NoNanReachesTheObjectiveCache) {
   // shares and the starvation-repair path; heterogeneous speeds make the
   // shares maximally lopsided.  Nothing in the pipeline may emit NaN --
   // the ClusterObjective memo's empty sentinel must stay unambiguous --
-  // and the batched engine must agree bitwise with the scalar one even
-  // on the repair path.
+  // and a delta chain through the configurations must agree bitwise with
+  // the scalar engine even on the repair path.  One delta scratch serves
+  // every trial, so each trial's new estimator also rebinds it.
   Rng rng(GetParam() ^ 0x57A8);
   const Network net = presets::random_network(
       rng, 2 + static_cast<int>(GetParam() % 3), 5);
@@ -209,12 +240,12 @@ TEST_P(StarvationPressure, NoNanReachesTheObjectiveCache) {
   params.topologies = {Topology::OneD};
   const CalibrationResult cal = calibrate(net, params);
   Rng config_rng = rng.stream(5);
-  EstimatorScratch batch_scratch;
+  EstimatorScratch delta_scratch;
   EstimatorScratch scalar_scratch;
   for (int trial = 0; trial < 12; ++trial) {
     std::vector<ProcessorConfig> configs;
     int max_total = 1;
-    for (int c = 0; c < 2 * BatchScratch::kLanes; ++c) {
+    for (int c = 0; c < 32; ++c) {
       ProcessorConfig config(static_cast<std::size_t>(net.num_clusters()),
                              0);
       int total = 0;
@@ -236,19 +267,19 @@ TEST_P(StarvationPressure, NoNanReachesTheObjectiveCache) {
     for (const ProcessorConfig& config : configs) {
       if (config_total(config) <= n) fitting.push_back(config);
     }
-    std::vector<FastEstimate> batched(fitting.size());
-    est.estimate_batch(fitting.data(), fitting.size(), batched.data(),
-                       batch_scratch);
+    if (fitting.empty()) continue;
+    est.bind_delta(fitting.front(), delta_scratch.delta, delta_scratch);
     for (std::size_t i = 0; i < fitting.size(); ++i) {
+      const FastEstimate got = delta_walk(est, fitting[i], delta_scratch);
       const FastEstimate want =
           est.estimate_into(fitting[i], scalar_scratch);
-      ASSERT_TRUE(std::isfinite(batched[i].t_c_ms))
+      ASSERT_TRUE(std::isfinite(got.t_c_ms))
           << "trial " << trial << " i " << i;
-      ASSERT_TRUE(std::isfinite(batched[i].t_comp_ms));
-      ASSERT_TRUE(std::isfinite(batched[i].t_comm_ms));
-      ASSERT_EQ(want.t_c_ms, batched[i].t_c_ms)
+      ASSERT_TRUE(std::isfinite(got.t_comp_ms));
+      ASSERT_TRUE(std::isfinite(got.t_comm_ms));
+      ASSERT_EQ(want.t_c_ms, got.t_c_ms)
           << "trial " << trial << " i " << i;
-      ASSERT_EQ(want.t_elapsed_ms, batched[i].t_elapsed_ms);
+      ASSERT_EQ(want.t_elapsed_ms, got.t_elapsed_ms);
     }
   }
 }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "apps/stencil.hpp"
 #include "calib/calibrate.hpp"
@@ -18,6 +19,7 @@
 #include "core/partitioner.hpp"
 #include "dp/rank_kernel.hpp"
 #include "exec/executor.hpp"
+#include "net/builder.hpp"
 #include "net/presets.hpp"
 
 namespace netpart {
@@ -250,100 +252,101 @@ TEST_P(RandomNetworkProperties, ParallelExhaustiveMatchesSerial) {
   }
 }
 
-TEST_P(RandomNetworkProperties, BatchBitwiseMatchesScalarAcrossSizes) {
-  // Differential lockdown of the lane engine: for every batch size that
-  // exercises a distinct code path -- a lone config (scalar remainder
-  // only), one lane short of a full batch, exactly kLanes, one past
-  // (full batch + remainder tail), and a multi-batch run -- every result
-  // must be bitwise identical to estimate_into() on every cost field.
-  Rng rng(GetParam().seed ^ 0xBA7C);
-  const Network net =
-      presets::random_network(rng, GetParam().clusters, 6);
-  const CalibrationResult cal = calibrate(net, one_d_params());
-  Rng config_rng = rng.stream(3);
-  constexpr int kLanes = BatchScratch::kLanes;
-  for (const auto& [n, overlap] :
-       std::vector<std::pair<int, bool>>{{300, false}, {1200, true}}) {
-    const ComputationSpec spec = apps::make_stencil_spec(
-        apps::StencilConfig{.n = n, .iterations = 10, .overlap = overlap});
-    CycleEstimator est(net, cal.db, spec);
-    for (const std::size_t count :
-         {std::size_t{1}, static_cast<std::size_t>(kLanes - 1),
-          static_cast<std::size_t>(kLanes),
-          static_cast<std::size_t>(kLanes + 1),
-          static_cast<std::size_t>(3 * kLanes + 5)}) {
-      std::vector<ProcessorConfig> configs;
-      while (configs.size() < count) {
-        ProcessorConfig config(
-            static_cast<std::size_t>(net.num_clusters()), 0);
-        int total = 0;
-        for (ClusterId c = 0; c < net.num_clusters(); ++c) {
-          config[static_cast<std::size_t>(c)] = static_cast<int>(
-              config_rng.next_int(0, net.cluster(c).size()));
-          total += config[static_cast<std::size_t>(c)];
-        }
-        if (total == 0) continue;  // estimate requires >= 1 processor
-        configs.push_back(std::move(config));
-      }
-      EstimatorScratch batch_scratch;
-      std::vector<FastEstimate> got(count);
-      est.estimate_batch(configs.data(), count, got.data(), batch_scratch);
-      EstimatorScratch scalar_scratch;
-      for (std::size_t i = 0; i < count; ++i) {
-        const FastEstimate want =
-            est.estimate_into(configs[i], scalar_scratch);
-        ASSERT_EQ(want.t_comp_ms, got[i].t_comp_ms)
-            << "seed " << GetParam().seed << " count " << count << " i "
-            << i;
-        ASSERT_EQ(want.t_comm_ms, got[i].t_comm_ms)
-            << "seed " << GetParam().seed << " count " << count << " i "
-            << i;
-        ASSERT_EQ(want.t_overlap_ms, got[i].t_overlap_ms)
-            << "seed " << GetParam().seed << " count " << count << " i "
-            << i;
-        ASSERT_EQ(want.t_c_ms, got[i].t_c_ms)
-            << "seed " << GetParam().seed << " count " << count << " i "
-            << i;
-        ASSERT_EQ(want.t_elapsed_ms, got[i].t_elapsed_ms)
-            << "seed " << GetParam().seed << " count " << count << " i "
-            << i;
-      }
-      // The two paths must also agree on the evaluation count they
-      // record; only full lanes may be attributed to the batch engine.
-      EXPECT_EQ(batch_scratch.evaluations, scalar_scratch.evaluations);
-      EXPECT_LE(batch_scratch.batch_evaluations,
-                batch_scratch.evaluations);
-    }
-  }
+/// Two identical "twin" clusters (same processor type, same size) plus a
+/// faster third.  Under a computation-only spec T_c is the slowest rank's
+/// T_comp, which swapping the twins' counts leaves unchanged, so T_c ties
+/// across distinct configurations are guaranteed.
+Network twin_cluster_network() {
+  NetworkBuilder b;
+  b.bandwidth_bps(10e6);
+  b.frame_overhead(SimTime::micros(50));
+  b.router_delay(SimTime::nanos(600), SimTime::micros(100));
+  ProcessorType twin;
+  twin.name = "twin";
+  twin.flop_time = SimTime::micros(0.4);
+  twin.int_time = twin.flop_time * 0.5;
+  twin.comm_per_byte = SimTime::nanos(800);
+  twin.comm_per_message = SimTime::micros(500);
+  ProcessorType fast = twin;
+  fast.name = "fast";
+  fast.flop_time = SimTime::micros(0.2);
+  fast.int_time = fast.flop_time * 0.5;
+  b.add_cluster("twin_a", twin, 4);
+  b.add_cluster("twin_b", twin, 4);
+  b.add_cluster("fast", fast, 4);
+  return b.build();
 }
 
-TEST(BatchEngine, RemainderOnlyTailAndEmptyBatch) {
-  // count < kLanes never touches the lane engine's full-batch path; count
-  // == 0 must be a no-op.  Both still bitwise-match the scalar engine.
-  const Network net = presets::paper_testbed();
+TEST(ExhaustiveTieBreak, GrayOrderKeepsOdometerFirstMinimum) {
+  // The sweep walks Gray-code order, not odometer order, so its tie-break
+  // must be explicit: the oracle is a plain odometer scan (cluster 0 the
+  // least significant digit) through estimate() with strict <, which
+  // returns the first minimum.  The sweep must return that configuration,
+  // its T_c, and the oracle's evaluation count at every thread count and
+  // chunk size -- chunk 1 starts chunks on the all-zero configuration and
+  // on every reflection boundary -- with and without chaos yields.
+  const Network net = twin_cluster_network();
   CalibrationParams params;
   params.topologies = {Topology::OneD};
   const CalibrationResult cal = calibrate(net, params);
-  const ComputationSpec spec = apps::make_stencil_spec(
-      apps::StencilConfig{.n = 600, .iterations = 10, .overlap = false});
-  CycleEstimator est(net, cal.db, spec);
-  EstimatorScratch scratch;
-  est.estimate_batch(nullptr, 0, nullptr, scratch);
-  EXPECT_EQ(scratch.evaluations, 0u);
-  EXPECT_EQ(scratch.batch_evaluations, 0u);
+  const AvailabilitySnapshot snap =
+      gather_availability(net, make_managers(net, AvailabilityPolicy{}));
+  for (const std::int64_t n : {12, 24, 60}) {
+    ComputationPhaseSpec compute;
+    compute.name = "compute";
+    compute.num_pdus = [n] { return n; };
+    compute.ops_per_pdu = [] { return 100.0; };
+    const ComputationSpec spec("compute_only", {compute}, {}, 10);
+    CycleEstimator est(net, cal.db, spec);
 
-  const std::vector<ProcessorConfig> tail = {{1, 0}, {6, 6}, {3, 2}};
-  std::vector<FastEstimate> got(tail.size());
-  est.estimate_batch(tail.data(), tail.size(), got.data(), scratch);
-  EstimatorScratch scalar_scratch;
-  for (std::size_t i = 0; i < tail.size(); ++i) {
-    const FastEstimate want = est.estimate_into(tail[i], scalar_scratch);
-    EXPECT_EQ(want.t_c_ms, got[i].t_c_ms) << "i " << i;
-    EXPECT_EQ(want.t_elapsed_ms, got[i].t_elapsed_ms) << "i " << i;
+    const std::uint64_t oracle_before = est.evaluations();
+    ProcessorConfig config(snap.available.size(), 0);
+    ProcessorConfig oracle_config;
+    double oracle_tc = std::numeric_limits<double>::infinity();
+    std::vector<double> scanned;
+    for (;;) {
+      std::size_t digit = 0;
+      while (digit < config.size() && config[digit] == snap.available[digit]) {
+        config[digit++] = 0;
+      }
+      if (digit == config.size()) break;
+      ++config[digit];
+      if (config_total(config) == 0) continue;
+      const double tc = est.estimate(config).t_c_ms;
+      scanned.push_back(tc);
+      if (tc < oracle_tc) {
+        oracle_tc = tc;
+        oracle_config = config;
+      }
+    }
+    // The winner's materialisation, as exhaustive_partition counts it.
+    ASSERT_EQ(est.estimate(oracle_config).t_c_ms, oracle_tc);
+    const std::uint64_t oracle_evals = est.evaluations() - oracle_before;
+    ASSERT_GT(std::count(scanned.begin(), scanned.end(), oracle_tc), 1)
+        << "n " << n << ": the minimum must be tied for this test to bite";
+
+    for (const int threads : {1, 2, 4}) {
+      for (const std::uint64_t chunk : {0, 1, 7}) {
+        for (const std::uint64_t chaos : {std::uint64_t{0},
+                                          std::uint64_t{0x71E}}) {
+          ExhaustiveOptions options;
+          options.threads = threads;
+          options.chunk = chunk;
+          options.chaos_yield_seed = chaos;
+          const std::uint64_t before = est.evaluations();
+          const PartitionResult got = exhaustive_partition(est, snap, options);
+          EXPECT_EQ(oracle_config, got.config)
+              << "n " << n << " threads " << threads << " chunk " << chunk
+              << " chaos " << chaos;
+          EXPECT_EQ(oracle_tc, got.estimate.t_c_ms)
+              << "n " << n << " threads " << threads << " chunk " << chunk;
+          EXPECT_EQ(oracle_evals, got.evaluations)
+              << "n " << n << " threads " << threads << " chunk " << chunk;
+          EXPECT_EQ(got.evaluations, est.evaluations() - before);
+        }
+      }
+    }
   }
-  EXPECT_EQ(scratch.evaluations, 3u);
-  // A sub-lane-width tail is scalar work by definition.
-  EXPECT_EQ(scratch.batch_evaluations, 0u);
 }
 
 TEST(GroupShares, MatchesProportionalPartitionExactly) {
@@ -554,7 +557,13 @@ TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
   // exact FastEstimate estimate_into() computes for the moved
   // configuration -- bitwise on every cost field -- across randomized
   // single-move sequences, including moves that empty a cluster and
-  // moves that activate one.
+  // moves that activate one.  commit_delta adopts the staged gather of
+  // the last probe when that probe scored the committed move and
+  // regathers otherwise, so before every commit the walk rotates what
+  // the last probe was: the committed move, a different move, or a move
+  // that took the starvation fallback (reached by the last input).  After
+  // every commit the cache and the next probe must equal a freshly bound
+  // scratch's.
   Rng rng(GetParam().seed ^ 0xDE17A);
   const Network net =
       presets::random_network(rng, GetParam().clusters, 6);
@@ -562,8 +571,24 @@ TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
   params.topologies = {Topology::OneD};
   const CalibrationResult cal = calibrate(net, params);
   Rng config_rng = rng.stream(4);
+  // The starvation edge: n about half the network's processors, with
+  // moves past n illegal, so the walk keeps meeting total == n, where a
+  // rank can only be starved.  Ideal shares differ by at most the flop-time
+  // skew minus 1 there, so the fallback needs a skew of at least 2.
+  int processors = 0;
+  double fastest = std::numeric_limits<double>::infinity();
+  double slowest = 0.0;
+  for (ClusterId c = 0; c < net.num_clusters(); ++c) {
+    processors += net.cluster(c).size();
+    const double flop = net.cluster(c).type().flop_time.as_seconds();
+    fastest = std::min(fastest, flop);
+    slowest = std::max(slowest, flop);
+  }
+  const int edge_n = processors / 2 + 1;
+  const double skew = slowest / fastest;
   for (const auto& [n, overlap] :
-       std::vector<std::pair<int, bool>>{{300, false}, {1200, true}}) {
+       std::vector<std::pair<int, bool>>{
+           {300, false}, {1200, true}, {edge_n, false}}) {
     const ComputationSpec spec = apps::make_stencil_spec(
         apps::StencilConfig{.n = n, .iterations = 10, .overlap = overlap});
     CycleEstimator est(net, cal.db, spec);
@@ -575,7 +600,8 @@ TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
     ProcessorConfig config(static_cast<std::size_t>(net.num_clusters()),
                            0);
     int total = 0;
-    while (total == 0) {
+    while (total == 0 || total > n) {
+      total = 0;
       for (ClusterId c = 0; c < net.num_clusters(); ++c) {
         config[static_cast<std::size_t>(c)] = static_cast<int>(
             config_rng.next_int(0, net.cluster(c).size()));
@@ -586,18 +612,27 @@ TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
     const FastEstimate bound_ref = est.estimate_into(config, ref_scratch);
     ASSERT_EQ(bound.t_c_ms, bound_ref.t_c_ms);
 
+    int last_probe_committed = 0;
+    int last_probe_other = 0;
+    int last_probe_starved = 0;
     for (int move = 0; move < 60; ++move) {
       // Probe every legal +/-1 around the current baseline.
       std::vector<std::pair<ClusterId, int>> legal;
+      std::vector<std::pair<ClusterId, int>> starved;
       for (ClusterId c = 0; c < net.num_clusters(); ++c) {
         const auto ci = static_cast<std::size_t>(c);
         for (const int delta : {+1, -1}) {
           const int moved = config[ci] + delta;
           if (moved < 0 || moved > net.cluster(c).size()) continue;
-          if (total + delta == 0) continue;
+          if (total + delta == 0 || total + delta > n) continue;
           legal.emplace_back(c, delta);
+          const std::uint64_t delta_evals = scratch.delta_evaluations;
           const FastEstimate got =
               est.estimate_delta(c, delta, d, scratch);
+          // Only the starvation fallback leaves the delta count alone.
+          if (scratch.delta_evaluations == delta_evals) {
+            starved.emplace_back(c, delta);
+          }
           ProcessorConfig moved_config = config;
           moved_config[ci] = moved;
           const FastEstimate want =
@@ -620,20 +655,57 @@ TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
         }
       }
       ASSERT_FALSE(legal.empty());
-      // Commit a random legal move (biased towards draining so the walk
-      // visits empty-cluster states) and keep walking.
-      const auto& [cc, cd] =
-          legal[static_cast<std::size_t>(config_rng.next_int(
-              0, static_cast<std::int64_t>(legal.size()) - 1))];
+      const auto pick = [&](const std::vector<std::pair<ClusterId, int>>& v) {
+        return v[static_cast<std::size_t>(config_rng.next_int(
+            0, static_cast<std::int64_t>(v.size()) - 1))];
+      };
+      // Commit a random legal move and keep walking; first re-probe so
+      // the last probe before the commit is, in rotation, the committed
+      // move, a different one, or a starved one (then also committed, so
+      // the commit adopts a gather whose scoring fell back).
+      std::pair<ClusterId, int> commit = pick(legal);
+      std::pair<ClusterId, int> last = commit;
+      if (move % 3 == 1 && legal.size() > 1) {
+        while (last == commit) last = pick(legal);
+        ++last_probe_other;
+      } else if (move % 3 == 2 && !starved.empty()) {
+        commit = last = pick(starved);
+        ++last_probe_starved;
+      } else {
+        ++last_probe_committed;
+      }
+      const auto [cc, cd] = commit;
+      est.estimate_delta(last.first, last.second, d, scratch);
       est.commit_delta(cc, cd, d, scratch);
       config[static_cast<std::size_t>(cc)] += cd;
       total += cd;
-      // After a commit the new baseline must itself score bitwise.
+      // After a commit the cache must be the one a fresh bind builds, and
+      // the new baseline must itself score bitwise.
+      EstimatorScratch fresh;
+      est.bind_delta(config, fresh.delta, fresh);
+      ASSERT_EQ(d.config, fresh.delta.config);
+      ASSERT_EQ(d.total_p, fresh.delta.total_p);
+      ASSERT_EQ(d.group_c, fresh.delta.group_c);
+      ASSERT_EQ(d.group_p, fresh.delta.group_p);
+      ASSERT_EQ(d.group_w, fresh.delta.group_w);
+      ASSERT_EQ(d.prefix_w, fresh.delta.prefix_w)
+          << "seed " << GetParam().seed << " move " << move;
       const FastEstimate rebased = est.estimate_delta(cc, 0, d, scratch);
+      const FastEstimate rebased_fresh =
+          est.estimate_delta(cc, 0, fresh.delta, fresh);
       const FastEstimate rebased_ref =
           est.estimate_into(config, ref_scratch);
+      ASSERT_EQ(rebased.t_c_ms, rebased_fresh.t_c_ms)
+          << "seed " << GetParam().seed << " move " << move;
       ASSERT_EQ(rebased.t_c_ms, rebased_ref.t_c_ms)
           << "seed " << GetParam().seed << " move " << move;
+    }
+    EXPECT_GT(last_probe_committed, 0) << "n " << n;
+    EXPECT_GT(last_probe_other, 0) << "n " << n;
+    if (n == edge_n && skew >= 2.0) {
+      EXPECT_GT(last_probe_starved, 0)
+          << "seed " << GetParam().seed << ": the starvation-edge input "
+          << "never reached the fallback";
     }
   }
 }
