@@ -11,8 +11,8 @@
 // Keys:
 //   network  = paper | fig1 | coercion | metasystem   (default paper)
 //   apps     = comma list cycled across the universe   (default stencil,sten2)
-//   workers  = worker threads                          (default 4)
-//   queue    = request queue capacity                  (default 64)
+//   workers  = max concurrent cold computes            (default 4)
+//   queue    = max callers waiting for a compute slot  (default 64)
 //   cache    = decision cache capacity                 (default 4096)
 //   shards   = cache shards                            (default 8)
 //   clients  = client threads                          (default 8)
@@ -230,7 +230,8 @@ int run(const Config& args) {
   const ZipfSampler sampler(universe, zipf);
 
   std::printf("\n%d clients x %d requests over %d specs (zipf %.2f), "
-              "%d workers, queue %d, cache %d/%d shards, %d churn waves\n",
+              "%d concurrent cold computes (%d may wait), cache %d/%d "
+              "shards, %d churn waves\n",
               clients, per_client, universe, zipf, options.workers,
               static_cast<int>(options.queue_capacity),
               static_cast<int>(options.cache_capacity), options.cache_shards,

@@ -155,11 +155,11 @@ struct DeltaScratch {
 
 /// Reusable buffers for CycleEstimator::estimate_into() /
 /// estimate_delta() and the search drivers.  Strictly one owner thread at
-/// a time -- never share a scratch across threads (the svc worker pool
-/// keeps one per worker, the work-stealing exhaustive sweep one per
-/// worker).  Buffers grow to the network's cluster count on first use and
-/// are then reused: steady-state evaluations perform zero heap
-/// allocations.
+/// a time -- never share a scratch across threads (the svc service keeps
+/// one per compute slot, handed to one caller at a time; the work-stealing
+/// exhaustive sweep one per worker).  Buffers grow to the network's
+/// cluster count on first use and are then reused: steady-state
+/// evaluations perform zero heap allocations.
 struct EstimatorScratch {
   /// Fast-path evaluations recorded through this scratch.  Search drivers
   /// read the delta across a search and merge it into the estimator's

@@ -130,7 +130,7 @@ class AvailabilityFeed {
   /// Replay churn events (at <= upto) against the *initial* snapshot and
   /// update() -- the service-facing form of apply_churn, for drivers that
   /// never mutate the Network itself (the Network can then stay immutable
-  /// and be shared with worker threads without locking).
+  /// and be shared with querying threads without locking).
   std::uint64_t apply_churn_events(const Network& net,
                                    const std::vector<ChurnEvent>& events,
                                    SimTime upto);

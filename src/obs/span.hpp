@@ -23,10 +23,9 @@
 //
 // Trace identity (DESIGN.md §13): an enabled span draws a span_id from its
 // registry and parents itself under the thread's current TraceContext --
-// the enclosing Span's, or one adopted from another thread/node via
-// ContextScope.  With no current context it opens a new root trace.  The
-// context is pushed for the span's lifetime, so nesting and adoption
-// compose without any caller wiring.
+// the enclosing Span's.  With no current context it opens a new root
+// trace.  The context is pushed for the span's lifetime, so nesting
+// composes without any caller wiring.
 #pragma once
 
 #include <utility>
@@ -64,8 +63,7 @@ class Span {
 
   bool active() const { return registry_ != nullptr; }
 
-  /// This span's trace identity -- capture it to parent work on another
-  /// thread or node under this span (invalid when the span is disabled).
+  /// This span's trace identity (invalid when the span is disabled).
   const TraceContext& context() const { return context_; }
 
   /// Nesting depth of this thread's innermost active span (0 = none).

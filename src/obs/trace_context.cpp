@@ -54,16 +54,6 @@ TraceContext current_context() {
   return t_context_stack.back();
 }
 
-ContextScope::ContextScope(const TraceContext& ctx) {
-  if (!ctx.valid()) return;
-  t_context_stack.push_back(ctx);
-  pushed_ = true;
-}
-
-ContextScope::~ContextScope() {
-  if (pushed_) t_context_stack.pop_back();
-}
-
 namespace detail {
 
 void push_context(const TraceContext& ctx) {

@@ -1,22 +1,20 @@
 // Span identity and cross-hop propagation (see DESIGN.md §13).
 //
 // A TraceContext names one span globally: `trace_id` groups every span a
-// single logical request produced (across threads and across fleet nodes),
-// `span_id` names this span, `parent_span_id` links it to the span that
-// caused it (0 = root).  Contexts travel two ways:
+// single logical request produced (across fleet nodes too), `span_id`
+// names this span, `parent_span_id` links it to the span that caused it
+// (0 = root).  Contexts travel two ways:
 //
 //   * within a thread -- obs::Span pushes its context on a thread-local
 //     stack; a nested Span becomes its child automatically.
-//   * across threads or nodes -- the producer captures `Span::context()`,
-//     ships it (struct copy, or the fleet wire encoding in fleet/wire.hpp),
-//     and the consumer re-establishes it with a ContextScope before opening
-//     its own spans.
+//   * across nodes -- a fleet hop carries its context in the wire encoding
+//     (fleet/wire.hpp), and the receiving node derives its spans' contexts
+//     from it (FleetNode::child_of).
 //
 // Identity is deterministic: ids come from a TraceIdGenerator, a seeded
 // SplitMix64 counter stream.  Same seed, same allocation order, same ids --
 // sim runs stay replayable and the merged fleet exports golden-testable.
-// Zero is reserved as "no id": a context with trace_id 0 is invalid and a
-// ContextScope over it is a no-op.
+// Zero is reserved as "no id": a context with trace_id 0 is invalid.
 #pragma once
 
 #include <atomic>
@@ -58,24 +56,9 @@ class TraceIdGenerator {
   std::atomic<std::uint64_t> sequence_{0};
 };
 
-/// This thread's innermost propagated-or-active context (invalid when no
-/// span is open and nothing was adopted).  New spans become its children.
+/// This thread's innermost active context (invalid when no span is open).
+/// New spans become its children.
 TraceContext current_context();
-
-/// RAII adoption of a context shipped from another thread or node: spans
-/// opened inside the scope become children of `ctx`.  Adopting an invalid
-/// context is a no-op (spans open as roots, as without the scope).
-class ContextScope {
- public:
-  explicit ContextScope(const TraceContext& ctx);
-  ~ContextScope();
-
-  ContextScope(const ContextScope&) = delete;
-  ContextScope& operator=(const ContextScope&) = delete;
-
- private:
-  bool pushed_ = false;
-};
 
 namespace detail {
 /// Raw stack access for obs::Span (push on open, pop on finish).

@@ -1,5 +1,8 @@
 #include "svc/service.hpp"
 
+#include <chrono>
+#include <exception>
+
 #include "analysis/race/annotations.hpp"
 #include "core/estimator.hpp"
 #include "obs/span.hpp"
@@ -42,38 +45,20 @@ PartitionService::PartitionService(const Network& net, const CostModelDb& db,
   NP_REQUIRE(options_.workers >= 1, "service needs at least one worker");
   NP_REQUIRE(options_.queue_capacity >= 1,
              "service queue capacity must be positive");
-  // npracer contract: queue_, inflight_, and stopping_ move only under
-  // mutex_; everything the constructor wrote before the fork is visible to
-  // the workers through the fork/start edge.
-  NP_GUARDED_BY(&queue_, &mutex_, "svc.service.queue");
+  // npracer contract: the admission state and inflight_ move only under
+  // mutex_.
+  NP_GUARDED_BY(&free_slots_, &mutex_, "svc.service.free_slots");
+  NP_GUARDED_BY(&waiting_, &mutex_, "svc.service.waiting");
   NP_GUARDED_BY(&inflight_, &mutex_, "svc.service.inflight");
-  NP_GUARDED_BY(&stopping_, &mutex_, "svc.service.stopping");
   NP_ATOMIC_RELEASE(&seen_epoch_, "svc.service.seen_epoch");
   seen_epoch_.store(feed_.epoch(), std::memory_order_release);
-  workers_.reserve(static_cast<std::size_t>(options_.workers));
-  NP_THREAD_FORK(this, "svc.service.workers");
+  free_slots_.reserve(static_cast<std::size_t>(options_.workers));
   for (int w = 0; w < options_.workers; ++w) {
-    workers_.emplace_back([this] { worker_loop(); });
+    free_slots_.push_back(std::make_unique<EstimatorScratch>());
   }
 }
 
-PartitionService::~PartitionService() {
-  {
-    std::lock_guard lock(mutex_);
-    NP_LOCK_SCOPE(&mutex_, "svc.service.mutex");
-    NP_WRITE(&stopping_, "svc.service.stopping");
-    stopping_ = true;
-  }
-  work_ready_.notify_all();
-  for (std::thread& t : workers_) t.join();
-  NP_THREAD_JOIN(this, "svc.service.workers");
-}
-
-std::shared_future<ServiceReply> PartitionService::ready(ServiceReply reply) {
-  std::promise<ServiceReply> promise;
-  promise.set_value(std::move(reply));
-  return promise.get_future().share();
-}
+PartitionService::~PartitionService() = default;
 
 void PartitionService::observe_epoch(std::uint64_t epoch) {
   NP_ATOMIC_ACQUIRE(&seen_epoch_, "svc.service.seen_epoch");
@@ -89,8 +74,7 @@ void PartitionService::observe_epoch(std::uint64_t epoch) {
   }
 }
 
-std::shared_future<ServiceReply> PartitionService::submit(
-    const PartitionRequest& request) {
+ServiceReply PartitionService::query(const PartitionRequest& request) {
   const auto t0 = Clock::now();
   obs::Span span(obs::TelemetryRegistry::global(), "svc.request", "svc");
   requests_.add();
@@ -102,8 +86,7 @@ std::shared_future<ServiceReply> PartitionService::submit(
   if (const char* violation = validate_request(request)) {
     failed_.add();
     span.attr("outcome", JsonValue("invalid"));
-    return ready(ServiceReply{ServiceStatus::Failed, nullptr, false,
-                              violation});
+    return ServiceReply{ServiceStatus::Failed, nullptr, false, violation};
   }
   auto [snapshot, epoch] = feed_.read();
   observe_epoch(epoch);
@@ -113,31 +96,27 @@ std::shared_future<ServiceReply> PartitionService::submit(
     hits_.add();
     hit_latency_.record(us_since(t0));
     span.attr("outcome", JsonValue("hit"));
-    return ready(ServiceReply{ServiceStatus::Ok, std::move(hit),
-                              /*cache_hit=*/true, {}});
+    return ServiceReply{ServiceStatus::Ok, std::move(hit),
+                        /*cache_hit=*/true, {}};
   }
 
   std::unique_lock lock(mutex_);
   // Explicit acquire/release (not NP_LOCK_SCOPE): this function unlocks
-  // early on several paths, and the annotation must track the *real* lock
-  // state or the detector would model critical sections that never were.
+  // early on several paths and waits on slot_freed_, and the annotations
+  // must mirror the real lock state or the detector would see critical
+  // sections that never happened (and miss the happens-before edges each
+  // re-acquisition creates).
   NP_LOCK_ACQUIRE(&mutex_, "svc.service.mutex");
-  NP_READ(&stopping_, "svc.service.stopping");
-  if (stopping_) {
-    NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
-    lock.unlock();
-    span.attr("outcome", JsonValue("rejected"));
-    return ready(ServiceReply{ServiceStatus::Failed, nullptr, false,
-                              "service shutting down"});
-  }
   NP_READ(&inflight_, "svc.service.inflight");
   if (const auto it = inflight_.find(key); it != inflight_.end()) {
+    const std::shared_future<ServiceReply> flight = it->second;
+    NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
+    lock.unlock();
     coalesced_.add();
     span.attr("outcome", JsonValue("coalesced"));
-    NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
-    return it->second->future;
+    return flight.get();
   }
-  // Double-checked: a worker may have completed this key between the
+  // Double-checked: another caller may have completed this key between the
   // lock-free miss above and acquiring the lock.
   if (auto hit = cache_.peek(key)) {
     NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
@@ -145,117 +124,91 @@ std::shared_future<ServiceReply> PartitionService::submit(
     hits_.add();
     hit_latency_.record(us_since(t0));
     span.attr("outcome", JsonValue("hit"));
-    return ready(ServiceReply{ServiceStatus::Ok, std::move(hit),
-                              /*cache_hit=*/true, {}});
+    return ServiceReply{ServiceStatus::Ok, std::move(hit),
+                        /*cache_hit=*/true, {}};
   }
-  NP_READ(&queue_, "svc.service.queue");
-  if (queue_.size() >= options_.queue_capacity) {
+  NP_READ(&free_slots_, "svc.service.free_slots");
+  NP_READ(&waiting_, "svc.service.waiting");
+  if (free_slots_.empty() && waiting_ >= options_.queue_capacity) {
     NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
     lock.unlock();
     shed_.add();
     span.attr("outcome", JsonValue("shed"));
-    return ready(ServiceReply{ServiceStatus::Overloaded, nullptr, false,
-                              "request queue full"});
+    return ServiceReply{ServiceStatus::Overloaded, nullptr, false,
+                        "compute slots busy, wait queue full"};
   }
-  auto job = std::make_shared<Job>();
-  job->request = request;
-  job->key = key;
-  job->epoch = epoch;
-  job->snapshot = std::move(snapshot);
-  job->enqueued = t0;
-  job->trace = span.context();
-  job->future = job->promise.get_future().share();
+  // Admitted: from here on identical requests coalesce onto this one, also
+  // while it still waits for a slot.
+  std::promise<ServiceReply> promise;
   NP_WRITE(&inflight_, "svc.service.inflight");
-  inflight_.emplace(key, job);
-  NP_WRITE(&queue_, "svc.service.queue");
-  queue_.push_back(job);
+  inflight_.emplace(key, promise.get_future().share());
+  const auto admitted = Clock::now();
+  if (free_slots_.empty()) {
+    NP_WRITE(&waiting_, "svc.service.waiting");
+    ++waiting_;
+    do {
+      NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
+      slot_freed_.wait(lock);
+      NP_LOCK_ACQUIRE(&mutex_, "svc.service.mutex");
+      NP_READ(&free_slots_, "svc.service.free_slots");
+    } while (free_slots_.empty());
+    NP_WRITE(&waiting_, "svc.service.waiting");
+    --waiting_;
+  }
+  NP_WRITE(&free_slots_, "svc.service.free_slots");
+  std::unique_ptr<EstimatorScratch> scratch = std::move(free_slots_.back());
+  free_slots_.pop_back();
   NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
   lock.unlock();
-  work_ready_.notify_one();
-  span.attr("outcome", JsonValue("enqueued"));
-  return job->future;
-}
+  span.attr("outcome", JsonValue("cold"));
 
-ServiceReply PartitionService::query(const PartitionRequest& request) {
-  return submit(request).get();
-}
-
-void PartitionService::worker_loop() {
-  // One scratch per worker thread, reused across every cold compute this
-  // worker ever runs (see EstimatorScratch's single-owner contract).  All
-  // three evaluation paths draw on it: estimate_into's buffers, and the
-  // embedded DeltaScratch, whose coefficient tables bind_delta rebuilds
-  // when the request's stack-local CycleEstimator changes (binding id, not
-  // address) -- so delta buffers also amortise across requests.
-  EstimatorScratch scratch;
-  NP_THREAD_START(this, "svc.service.workers");
-  for (;;) {
-    JobPtr job;
-    {
-      std::unique_lock lock(mutex_);
-      // Explicit acquire/release: the condition wait below drops and
-      // retakes the real mutex, and the annotations must mirror that or
-      // the detector would see one long critical section that never
-      // happened (and miss the happens-before edges the re-acquisition
-      // creates).
-      NP_LOCK_ACQUIRE(&mutex_, "svc.service.mutex");
-      for (;;) {
-        NP_READ(&stopping_, "svc.service.stopping");
-        NP_READ(&queue_, "svc.service.queue");
-        if (stopping_ || !queue_.empty()) break;
-        NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
-        work_ready_.wait(lock);
-        NP_LOCK_ACQUIRE(&mutex_, "svc.service.mutex");
-      }
-      if (queue_.empty()) {
-        NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
-        NP_THREAD_END(this, "svc.service.workers");
-        return;  // stopping and fully drained
-      }
-      NP_WRITE(&queue_, "svc.service.queue");
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      NP_LOCK_RELEASE(&mutex_, "svc.service.mutex");
-    }
-    run_cold(*job, scratch);
-  }
-}
-
-void PartitionService::run_cold(Job& job, EstimatorScratch& scratch) {
-  // Adopt the submitter's request context: the execute span joins that
-  // trace as a child even though it runs on a worker thread.
-  obs::ContextScope ctx(job.trace);
-  obs::Span span(obs::TelemetryRegistry::global(), "svc.execute", "svc");
-  if (span.active()) {
-    span.attr("queue_wait_us", JsonValue(us_since(job.enqueued)));
-  }
   ServiceReply reply;
-  try {
-    PartitionDecision decision =
-        options_.cold_override
-            ? options_.cold_override(job.request, job.snapshot)
-            : cold_compute(job.request, job.snapshot, scratch);
-    decision.key = job.key;
-    decision.epoch = job.epoch;
-    auto shared =
-        std::make_shared<const PartitionDecision>(std::move(decision));
-    cache_.insert(shared);
-    cold_computes_.add();
-    cold_latency_.record(us_since(job.enqueued));
-    reply = ServiceReply{ServiceStatus::Ok, std::move(shared), false, {}};
-    span.attr("outcome", JsonValue("ok"));
-  } catch (const std::exception& e) {
-    failed_.add();
-    span.attr("outcome", JsonValue("failed"));
-    reply = ServiceReply{ServiceStatus::Failed, nullptr, false, e.what()};
+  {
+    obs::Span execute(obs::TelemetryRegistry::global(), "svc.execute",
+                      "svc");
+    if (execute.active()) {
+      execute.attr("queue_wait_us", JsonValue(us_since(admitted)));
+    }
+    try {
+      PartitionDecision decision =
+          options_.cold_override
+              ? options_.cold_override(request, snapshot)
+              : cold_compute(request, snapshot, *scratch);
+      decision.key = key;
+      decision.epoch = epoch;
+      auto shared =
+          std::make_shared<const PartitionDecision>(std::move(decision));
+      cache_.insert(shared);
+      cold_computes_.add();
+      cold_latency_.record(us_since(t0));
+      reply = ServiceReply{ServiceStatus::Ok, std::move(shared), false, {}};
+      execute.attr("outcome", JsonValue("ok"));
+    } catch (const std::exception& e) {
+      failed_.add();
+      execute.attr("outcome", JsonValue("failed"));
+      reply = ServiceReply{ServiceStatus::Failed, nullptr, false, e.what()};
+    }
   }
   {
-    std::lock_guard lock(mutex_);
+    // After the cache insert above: there is no instant where the key is
+    // in neither the cache nor inflight_.
+    std::lock_guard relock(mutex_);
     NP_LOCK_SCOPE(&mutex_, "svc.service.mutex");
     NP_WRITE(&inflight_, "svc.service.inflight");
-    inflight_.erase(job.key);
+    inflight_.erase(key);
+    NP_WRITE(&free_slots_, "svc.service.free_slots");
+    free_slots_.push_back(std::move(scratch));  // within reserve()
   }
-  job.promise.set_value(std::move(reply));
+  slot_freed_.notify_one();
+  promise.set_value(reply);
+  return reply;
+}
+
+std::shared_future<ServiceReply> PartitionService::submit(
+    const PartitionRequest& request) {
+  std::promise<ServiceReply> promise;
+  promise.set_value(query(request));
+  return promise.get_future().share();
 }
 
 PartitionDecision PartitionService::cold_compute(

@@ -8,33 +8,32 @@
 //   * a sharded LRU decision cache keyed by (network signature,
 //     availability epoch, canonical request) -- repeated queries are
 //     lookups, and an availability change invalidates by construction;
-//   * a fixed worker pool draining a bounded queue -- cold computations
-//     never run on client threads, and when the queue is full admission
-//     control *sheds* the request with an explicit Overloaded reply
-//     instead of queuing without bound;
+//   * bounded admission -- a cold computation runs on the thread that
+//     queried, at most `workers` of them at once; a caller that finds every
+//     compute slot busy waits for one, and when `queue_capacity` callers
+//     already wait, admission control *sheds* the request with an explicit
+//     Overloaded reply instead of letting the backlog grow without bound;
 //   * request coalescing -- concurrent identical requests attach to the
 //     one in-flight computation (a shared-future per cache key), so a
 //     thundering herd on a cold key costs one compute;
 //   * a metrics registry -- counters plus hit/cold latency histograms,
 //     exportable as CSV/JSON.
 //
-// Threading contract: the Network and CostModelDb are read concurrently by
-// the workers and must not be mutated while the service is alive (drive
-// availability changes through the AvailabilityFeed, not by editing the
-// Network).  All public methods are thread-safe.
+// The service owns no threads.  Threading contract: the Network and
+// CostModelDb are read concurrently by the querying threads and must not
+// be mutated while the service is alive (drive availability changes
+// through the AvailabilityFeed, not by editing the Network).  All public
+// methods are thread-safe; the service must outlive every call into it.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -42,7 +41,6 @@
 #include "dp/phases.hpp"
 #include "net/availability.hpp"
 #include "net/network.hpp"
-#include "obs/trace_context.hpp"
 #include "svc/cache.hpp"
 #include "svc/metrics.hpp"
 #include "svc/request.hpp"
@@ -55,8 +53,9 @@ namespace netpart::svc {
 
 enum class ServiceStatus {
   Ok,
-  /// Shed at admission: the request queue was full.  The client retries
-  /// (with backoff) or falls back to a local decision.
+  /// Shed at admission: every compute slot was busy and `queue_capacity`
+  /// callers already waited for one.  The client retries (with backoff) or
+  /// falls back to a local decision.
   Overloaded,
   /// The cold path threw; `error` carries the message.  Failures are not
   /// cached -- a retry recomputes.
@@ -71,7 +70,7 @@ struct ServiceReply {
 };
 
 /// Materialises the ComputationSpec a Partition-kind request names.
-/// Must be thread-safe (called concurrently from workers).
+/// Must be thread-safe (called concurrently from querying threads).
 using SpecResolver = std::function<ComputationSpec(const PartitionRequest&)>;
 
 /// Test/chaos hook: replaces the real cold path (resolver + estimator +
@@ -81,8 +80,10 @@ using ColdPathOverride = std::function<PartitionDecision(
     const PartitionRequest&, const AvailabilitySnapshot&)>;
 
 struct ServiceOptions {
+  /// At most this many cold computes run at once (each on the thread that
+  /// queried); each compute slot keeps one EstimatorScratch.
   int workers = 4;
-  /// Cold requests admitted but not yet started; beyond this, shed.
+  /// At most this many callers wait for a compute slot; beyond this, shed.
   std::size_t queue_capacity = 64;
   std::size_t cache_capacity = 1024;
   int cache_shards = 8;
@@ -95,19 +96,20 @@ class PartitionService {
                    AvailabilityFeed& feed, SpecResolver resolver,
                    ServiceOptions options = {});
 
-  /// Stops admission, drains the queue (pending jobs complete), joins.
   ~PartitionService();
 
   PartitionService(const PartitionService&) = delete;
   PartitionService& operator=(const PartitionService&) = delete;
 
-  /// Asynchronous query.  Cache hits and Overloaded decisions resolve
-  /// immediately; cold requests resolve when a worker finishes (coalesced
-  /// requests share the initiating request's future).
-  std::shared_future<ServiceReply> submit(const PartitionRequest& request);
-
-  /// Synchronous convenience: submit + wait.
+  /// Answers on the calling thread.  A cache hit, a rejected request and a
+  /// shed request return at once; a cold miss waits for a compute slot (if
+  /// all `workers` are busy) and then computes here; an identical request
+  /// already in flight is waited for instead of recomputed.
   ServiceReply query(const PartitionRequest& request);
+
+  /// query() wrapped in a ready future: the reply is complete before this
+  /// returns.
+  std::shared_future<ServiceReply> submit(const PartitionRequest& request);
 
   const Network& network() const { return net_; }
   std::uint64_t signature() const { return signature_; }
@@ -116,31 +118,11 @@ class PartitionService {
   MetricsRegistry& metrics() { return metrics_; }
 
  private:
-  struct Job {
-    PartitionRequest request;
-    std::uint64_t key = 0;
-    std::uint64_t epoch = 0;
-    AvailabilitySnapshot snapshot;
-    std::chrono::steady_clock::time_point enqueued;
-    /// The submitting request span's context: the worker adopts it so
-    /// svc.execute parents under svc.request across the thread hop.
-    obs::TraceContext trace;
-    std::promise<ServiceReply> promise;
-    std::shared_future<ServiceReply> future;
-  };
-  using JobPtr = std::shared_ptr<Job>;
-
-  /// Each worker owns one EstimatorScratch for its lifetime: after warm-up
-  /// a cold compute's search allocates nothing in the estimator.
-  void worker_loop();
-  void run_cold(Job& job, EstimatorScratch& scratch);
   PartitionDecision cold_compute(const PartitionRequest& request,
                                  const AvailabilitySnapshot& snapshot,
                                  EstimatorScratch& scratch) const;
   /// Purge stale cache entries the first time a new epoch is observed.
   void observe_epoch(std::uint64_t epoch);
-
-  static std::shared_future<ServiceReply> ready(ServiceReply reply);
 
   const Network& net_;
   const CostModelDb& db_;
@@ -164,11 +146,15 @@ class PartitionService {
   std::atomic<std::uint64_t> seen_epoch_{0};
 
   std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::deque<JobPtr> queue_;
-  std::unordered_map<std::uint64_t, JobPtr> inflight_;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;  // last member: joins before teardown
+  std::condition_variable slot_freed_;
+  /// The idle compute slots.  A slot is its EstimatorScratch, reused across
+  /// every cold compute the slot runs, so after warm-up a cold compute
+  /// allocates nothing in the estimator.  A caller pops a slot to compute
+  /// and pushes it back after: `workers - free_slots_.size()` computes run.
+  std::vector<std::unique_ptr<EstimatorScratch>> free_slots_;
+  std::size_t waiting_ = 0;  ///< callers blocked on slot_freed_
+  std::unordered_map<std::uint64_t, std::shared_future<ServiceReply>>
+      inflight_;
 };
 
 }  // namespace netpart::svc

@@ -8,7 +8,7 @@ namespace netpart {
 
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::Warn};
-// Serialises writers so concurrent lines (service workers, the availability
+// Serialises writers so concurrent lines (service callers, the availability
 // churner) never interleave mid-line.
 std::mutex g_write_mutex;
 }  // namespace

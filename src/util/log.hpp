@@ -18,9 +18,9 @@ class Logger {
   static LogLevel level();
   static void set_level(LogLevel level);
 
-  /// Emit if `level` >= the configured level.  Thread-safe: the service
-  /// worker pool logs concurrently, so each call formats its whole line
-  /// under a lock and writes it to stderr in one piece.
+  /// Emit if `level` >= the configured level.  Thread-safe: the service's
+  /// callers log concurrently, so each call formats its whole line under a
+  /// lock and writes it to stderr in one piece.
   static void log(LogLevel level, const std::string& message);
 
   static const char* level_name(LogLevel level);

@@ -224,33 +224,6 @@ TEST(ObsTraceContextTest, SpansFormATraceTreeWithinAThread) {
       << "sibling roots get distinct trace ids";
 }
 
-TEST(ObsTraceContextTest, ContextScopeAdoptsARemoteParent) {
-  // The cross-thread / cross-node adoption path: a context carried over a
-  // queue or the MMPS wire is pushed with ContextScope, and the next span
-  // parents under it instead of starting a new trace.
-  TelemetryRegistry reg;
-  reg.set_trace_seed(7, /*stream=*/3);
-  obs::TraceContext carried;
-  carried.trace_id = 0xabcdef01;
-  carried.span_id = 0x1234;
-  {
-    obs::ContextScope scope(carried);
-    Span child(reg, "adopted");
-    EXPECT_EQ(child.context().trace_id, carried.trace_id);
-    EXPECT_EQ(child.context().parent_span_id, carried.span_id);
-  }
-  EXPECT_FALSE(obs::current_context().valid())
-      << "the scope must pop on destruction";
-  {
-    obs::ContextScope scope(obs::TraceContext{});  // invalid: no-op
-    EXPECT_FALSE(obs::current_context().valid());
-  }
-  const std::vector<obs::SpanRecord> spans = reg.spans();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].trace_id, 0xabcdef01u);
-  EXPECT_EQ(spans[0].parent_span_id, 0x1234u);
-}
-
 TEST(ObsMetricsTest, DimensionedMetricsTextLabelsEveryRow) {
   TelemetryRegistry reg;
   reg.counter("requests").add(3);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -788,22 +789,31 @@ TEST(RaceQuietGateTest, PartitionServiceWorkerPool) {
         AvailabilityFeed feed(net,
                               make_managers(net, AvailabilityPolicy{}));
         svc::ServiceOptions service_options;
-        service_options.workers = 3;
+        // More clients than compute slots, and a cold path slow enough
+        // that callers wait on the slot condvar: its release/re-acquire
+        // edges are modelled too.
+        service_options.workers = 2;
         service_options.queue_capacity = 64;
         service_options.cold_override =
             [](const svc::PartitionRequest& request,
                const AvailabilitySnapshot&) {
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
               svc::PartitionDecision decision;
               decision.partition = PartitionVector({request.n});
               return decision;
             };
         svc::PartitionService service(net, db, feed, nullptr,
                                       service_options);
-        constexpr int kClients = 3;
+        constexpr int kClients = 4;
+        std::atomic<int> started{0};
         std::vector<std::thread> clients;
         clients.reserve(kClients);
         for (int c = 0; c < kClients; ++c) {
-          clients.emplace_back([&service, seed, c] {
+          clients.emplace_back([&service, &started, seed, c] {
+            // Start together, so the first cold keys overlap and callers
+            // beyond the two slots wait.
+            started.fetch_add(1);
+            while (started.load() < kClients) std::this_thread::yield();
             for (int i = 0; i < 12; ++i) {
               svc::PartitionRequest request;
               request.spec = "stencil";
@@ -817,7 +827,7 @@ TEST(RaceQuietGateTest, PartitionServiceWorkerPool) {
           });
         }
         for (std::thread& t : clients) t.join();
-      },  // service joins its workers here; all events stay in-schedule
+      },
       options);
   EXPECT_TRUE(result.sink.clean()) << result.sink.render_text();
 }

@@ -4,17 +4,20 @@
 // thread-shaped: N clients hammer mixed hot/cold request streams and the
 // assertions are about what must NOT multiply (cold computes per unique
 // key), what must NOT survive (decisions across an epoch bump), and what
-// must NOT block (admission when the queue is full, shutdown with a full
-// queue).  The chaos-seeded cases reuse the deterministic fault machinery
-// from sim/faults.hpp: each seed yields one reproducible schedule of
-// cold-path faults and availability churn.
+// must NOT block (a caller that finds admission full), and where each cold
+// compute runs (on the querying thread, at most `workers` at once).  The
+// chaos-seeded cases reuse the deterministic fault machinery from
+// sim/faults.hpp: each seed yields one reproducible schedule of cold-path
+// faults and availability churn.
 //
 // This file is part of the TSan tier (scripts/tier1.sh --tsan): every test
 // here must stay free of reported races.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -200,9 +203,9 @@ TEST(ServiceTest, EpochBumpInvalidatesCachedDecisions) {
   EXPECT_TRUE(third.cache_hit);
 }
 
-// (3) Overload: a tiny queue behind a deliberately slow single worker.
+// (3) Overload: one deliberately slow compute slot and two waiters.
 // Excess load must shed with Overloaded immediately -- not block, not
-// deadlock -- and the service must still drain and destruct cleanly.
+// deadlock -- and every admitted caller must still get its reply.
 TEST(ServiceTest, OverloadShedsInsteadOfBlocking) {
   const Testbed& bed = testbed();
   AvailabilityFeed feed = make_feed(bed.net);
@@ -220,9 +223,10 @@ TEST(ServiceTest, OverloadShedsInsteadOfBlocking) {
   svc::PartitionService service(bed.net, bed.db, feed, resolve_stencil,
                                 options);
 
-  // Submit far more distinct cold keys than the queue admits, from many
-  // threads at once.  submit() never blocks, so the whole burst returns
-  // quickly even though the worker needs ~5ms per admitted job.
+  // Submit far more distinct cold keys than admission holds, from many
+  // threads at once.  An admitted caller blocks for its own ~5ms compute
+  // (after waiting for the one slot), but a caller that finds the slot busy
+  // and two callers already waiting is shed at once instead of blocking.
   constexpr int kClients = 8;
   constexpr int kPerClient = 10;
   std::mutex mutex;
@@ -255,8 +259,87 @@ TEST(ServiceTest, OverloadShedsInsteadOfBlocking) {
   EXPECT_GT(ok, 0) << "admission shed everything";
   EXPECT_EQ(service.metrics().counter("shed_overload").value(),
             static_cast<std::uint64_t>(shed));
-  // Destructor drains the remaining queue without deadlock (implicitly
-  // verified by leaving scope; a hang here fails the test by timeout).
+}
+
+// (4) Where cold computes run: on the thread that queried, never more than
+// `workers` at once.  Two callers hold both slots inside a gated cold path;
+// two more, beyond `workers` but within `queue_capacity`, must wait for a
+// slot -- not be shed -- and then compute on their own threads.
+TEST(ServiceTest, ColdComputeRunsOnCallerThreadWithinWorkerLimit) {
+  const Testbed& bed = testbed();
+  AvailabilityFeed feed = make_feed(bed.net);
+
+  constexpr int kWorkers = 2;
+  constexpr int kWaiters = 2;
+  constexpr int kClients = kWorkers + kWaiters;
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool released = false;
+  int running = 0;
+  int peak = 0;
+  std::map<std::int64_t, std::thread::id> computed_on;
+  svc::ServiceOptions options;
+  options.workers = kWorkers;
+  options.queue_capacity = kWaiters;
+  options.cold_override = [&](const svc::PartitionRequest& request,
+                              const AvailabilitySnapshot&) {
+    std::unique_lock lock(mutex);
+    computed_on[request.n] = std::this_thread::get_id();
+    peak = std::max(peak, ++running);
+    changed.notify_all();
+    changed.wait(lock, [&] { return released; });
+    --running;
+    svc::PartitionDecision decision;
+    decision.partition = PartitionVector({request.n});
+    return decision;
+  };
+  svc::PartitionService service(bed.net, bed.db, feed, resolve_stencil,
+                                options);
+
+  std::vector<std::thread::id> queried_on(kClients);
+  std::vector<svc::ServiceReply> replies(kClients);
+  std::atomic<int> returned{0};
+  const auto client = [&](int c) {
+    queried_on[static_cast<std::size_t>(c)] = std::this_thread::get_id();
+    replies[static_cast<std::size_t>(c)] =
+        service.query(stencil_request(500 + c));
+    ++returned;
+  };
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kWorkers; ++c) clients.emplace_back(client, c);
+  {
+    std::unique_lock lock(mutex);
+    changed.wait(lock, [&] { return running == kWorkers; });
+  }
+  for (int c = kWorkers; c < kClients; ++c) clients.emplace_back(client, c);
+  // Let the late callers reach the slot wait before releasing the held
+  // computes; none of them can return while both slots stay held.
+  while (service.metrics().counter("requests").value() <
+         static_cast<std::uint64_t>(kClients)) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(returned.load(), 0) << "a caller returned while both slots "
+                                   "were held";
+  {
+    std::lock_guard lock(mutex);
+    EXPECT_EQ(running, kWorkers);
+    released = true;
+  }
+  changed.notify_all();
+  for (std::thread& t : clients) t.join();
+
+  for (int c = 0; c < kClients; ++c) {
+    const svc::ServiceReply& reply = replies[static_cast<std::size_t>(c)];
+    EXPECT_EQ(reply.status, svc::ServiceStatus::Ok)
+        << "caller " << c << ": " << reply.error;
+    EXPECT_EQ(computed_on.at(500 + c), queried_on[static_cast<std::size_t>(c)])
+        << "caller " << c << "'s cold compute ran on another thread";
+  }
+  EXPECT_EQ(peak, kWorkers) << "more cold computes ran at once than workers";
+  EXPECT_EQ(service.metrics().counter("shed_overload").value(), 0u);
+  EXPECT_EQ(service.metrics().counter("cold_computes").value(),
+            static_cast<std::uint64_t>(kClients));
 }
 
 // Chaos tier: seeded fault injection on the cold partition path plus
