@@ -10,7 +10,7 @@
 
 #include "bench/common.hpp"
 #include "mmps/system.hpp"
-#include "util/histogram.hpp"
+#include "obs/metrics.hpp"
 #include "util/stats.hpp"
 #include "util/string_util.hpp"
 
@@ -28,7 +28,7 @@ void measure(const char* title, ProcessorRef src, ProcessorRef dst,
   mmps::System mmps(netsim);
 
   constexpr int kMessages = 400;
-  Histogram hist(0.0, 80.0, 16);
+  obs::LatencyHistogram hist;
   RunningStats stats;
 
   // Chain the messages: each send is issued when the previous delivery
@@ -40,7 +40,7 @@ void measure(const char* title, ProcessorRef src, ProcessorRef dst,
                                static_cast<std::size_t>(bytes)));
     mmps.recv(dst, src, i, [&, i, t0](mmps::Message) {
       const double ms = (engine.now() - t0).as_millis();
-      hist.add(ms);
+      hist.record(ms * 1e3);
       stats.add(ms);
       send_next(i + 1);
     });
@@ -48,13 +48,15 @@ void measure(const char* title, ProcessorRef src, ProcessorRef dst,
   send_next(0);
   engine.run();
 
+  const QuantileSummary q = hist.quantiles();
   std::printf("%s (%d messages of %lld bytes, loss %.0f%%)\n"
               "latency mean %.2f ms, min %.2f, max %.2f, "
-              "%llu retransmissions\n%s\n",
+              "p50 %.2f, p90 %.2f, p99 %.2f, "
+              "%llu retransmissions\n\n",
               title, kMessages, static_cast<long long>(bytes), 100 * loss,
-              stats.mean(), stats.min(), stats.max(),
-              static_cast<unsigned long long>(netsim.retransmissions()),
-              hist.render().c_str());
+              stats.mean(), stats.min(), stats.max(), q.p50 / 1e3,
+              q.p90 / 1e3, q.p99 / 1e3,
+              static_cast<unsigned long long>(netsim.retransmissions()));
 }
 
 }  // namespace

@@ -16,7 +16,10 @@
 #                               # multi-node trace/metrics/health exports
 #                               # are validated by trace_check --fleet and
 #                               # grepped for per-hop attribution and
-#                               # {node=N} dimension rows
+#                               # {node=N} dimension rows; every
+#                               # histogram either run exports (JSON and
+#                               # metrics text) must keep min <= p50 <=
+#                               # p99 <= max (scripts/check_histograms.py)
 #   scripts/tier1.sh --bench    # Release build + tests, then the full
 #                               # partition hot-path bench, emitting
 #                               # BENCH_partition.json in the repo root;
@@ -247,6 +250,7 @@ if [[ "$obs_stage" == 1 ]]; then
   trap 'rm -rf "$workdir"' EXIT
   ./build/src/apps/netpartd \
     clients=2 requests=20 universe=8 workers=2 churn=1 \
+    json_out="$workdir/metrics.json" \
     --trace-out "$workdir/trace.json" \
     --metrics-out "$workdir/metrics.txt" >/dev/null
   ./build/src/apps/trace_check "$workdir/trace.json" \
@@ -273,5 +277,10 @@ if [[ "$obs_stage" == 1 ]]; then
     echo "fleet metrics lack per-node dimension rows" >&2; exit 1; }
   grep -q "^node 0 alive=1" "$workdir/fleet_health.txt" || {
     echo "fleet health summary missing" >&2; exit 1; }
+  # Every exported histogram must keep min <= p50 <= p99 <= max.
+  # netpartd's histograms are in the service registry's JSON export, the
+  # fleet's in the merged metrics text.
+  python3 scripts/check_histograms.py "$workdir/metrics.json" \
+    "$workdir/fleet_metrics.txt"
   echo "obs smoke stage ok"
 fi

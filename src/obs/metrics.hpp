@@ -1,23 +1,23 @@
 // Telemetry primitives shared by every subsystem (see DESIGN.md §9).
 //
-// Counter and LatencyHistogram used to live in svc/metrics.hpp; they moved
-// here so the partitioner, estimator, adaptive executor, MMPS, and the
-// service all meter through one vocabulary.  Callers resolve a metric once
-// (registry mutex) and then update it lock-free (counters) or under the
-// metric's own short lock (histograms), never the registry's.
+// Counter and LatencyHistogram are the partitioner's, estimator's,
+// adaptive executor's, MMPS's, fleet's and service's one metering
+// vocabulary.  Callers resolve a metric once (registry mutex) and then
+// update it lock-free, never under the registry's lock.
 //
 // MetricsSnapshot captures the registry's counter values and histogram
 // counts at a point in time; snapshot_delta() subtracts two snapshots so
 // benchmarks can report what one phase cost without resetting anything.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
-#include <mutex>
 #include <string>
 
-#include "util/histogram.hpp"
 #include "util/json.hpp"
 #include "util/stats.hpp"
 
@@ -37,26 +37,52 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Latency distribution: a fixed-width histogram (drives the p50/p95/p99
-/// quantile estimates) plus exact running mean/min/max.
+/// Latency distribution on one fixed log-linear layout: power-of-two
+/// octaves from 1 ns, each split into kSubBuckets linear sub-buckets, so
+/// every bucket is at most 1/32 of its lower edge wide and the range runs
+/// to 2^40 ns (~1100 s).  Recording is lock-free: a relaxed add to one
+/// bucket and to the integer-nanosecond sum, plus a relaxed CAS only when
+/// a sample is a new min or max.  mean/min/max are exact; quantiles are
+/// interpolated inside the bucket holding the target rank and clamped to
+/// [min, max], so they sit within one bucket width of the true order
+/// statistic.
 class LatencyHistogram {
  public:
-  /// Range in microseconds; samples outside clamp into the end buckets.
-  LatencyHistogram(double lo_us, double hi_us, std::size_t buckets);
+  static constexpr int kSubBits = 5;
+  static constexpr int kSubBuckets = 1 << kSubBits;  ///< per octave
+  static constexpr int kOctaves = 40;                ///< 1 ns .. 2^40 ns
+  /// Bucket 0 holds [0, 1) ns and every negative or NaN sample; the last
+  /// bucket holds everything from 2^kOctaves ns up.
+  static constexpr std::size_t kBuckets =
+      2 + static_cast<std::size_t>(kSubBuckets) * kOctaves;
 
+  LatencyHistogram() = default;
+  /// The arguments are ignored: every histogram has the fixed layout.  The
+  /// overload exists only for e2ebench/svc_workloads.cpp, which still
+  /// constructs `LatencyHistogram(0.0, 200.0, 400)`.
+  LatencyHistogram(double, double, std::size_t) : LatencyHistogram() {}
+
+  /// NaN records as 0.
   void record(double us);
 
   std::size_t count() const;
   double mean_us() const;
   double min_us() const;
   double max_us() const;
-  /// Interpolated from the histogram buckets (empty summary when count==0).
+  /// p50/p90/p95/p99 from one snapshot of the buckets (zero summary when
+  /// empty).
   QuantileSummary quantiles() const;
 
+  /// Index of the bucket a sample of `us` microseconds lands in.
+  static std::size_t bucket_of(double us);
+  /// Lower edge of bucket `index`, in microseconds.
+  static double bucket_lower_us(std::size_t index);
+
  private:
-  mutable std::mutex mutex_;
-  Histogram histogram_;
-  RunningStats stats_;
+  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
+  std::atomic<std::int64_t> sum_ns_{0};
+  std::atomic<double> min_us_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_us_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Point-in-time view of a registry: counter values plus per-histogram

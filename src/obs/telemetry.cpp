@@ -62,14 +62,19 @@ Counter& TelemetryRegistry::counter(const std::string& name) {
   return *slot;
 }
 
-LatencyHistogram& TelemetryRegistry::latency(const std::string& name,
-                                             double lo_us, double hi_us,
-                                             std::size_t buckets) {
+LatencyHistogram& TelemetryRegistry::latency(const std::string& name) {
   std::lock_guard lock(metrics_mutex_);
   NP_LOCK_SCOPE(&metrics_mutex_, "obs.telemetry.metrics_mutex");
   NP_WRITE(&counters_, "obs.telemetry.counters");
   auto& slot = latencies_[name];
-  if (!slot) slot = std::make_unique<LatencyHistogram>(lo_us, hi_us, buckets);
+  if (!slot) {
+    slot = std::make_unique<LatencyHistogram>();
+    // Like Counter: record() is relaxed atomic adds and extreme-only CASes
+    // with no ordering between samples; readers see each field through its
+    // own atomic load.
+    NP_BENIGN_RACE(slot.get(), "obs.latency",
+                   "relaxed atomic buckets, sum and min/max; no ordering");
+  }
   return *slot;
 }
 

@@ -41,8 +41,8 @@
 #include "dp/phases.hpp"
 #include "net/availability.hpp"
 #include "net/network.hpp"
+#include "obs/telemetry.hpp"
 #include "svc/cache.hpp"
-#include "svc/metrics.hpp"
 #include "svc/request.hpp"
 
 namespace netpart {
@@ -115,7 +115,7 @@ class PartitionService {
   std::uint64_t signature() const { return signature_; }
   const AvailabilityFeed& feed() const { return feed_; }
   DecisionCache& cache() { return cache_; }
-  MetricsRegistry& metrics() { return metrics_; }
+  obs::TelemetryRegistry& metrics() { return metrics_; }
 
  private:
   PartitionDecision cold_compute(const PartitionRequest& request,
@@ -132,16 +132,18 @@ class PartitionService {
   std::uint64_t signature_;
 
   DecisionCache cache_;
-  MetricsRegistry metrics_;
-  Counter& requests_;
-  Counter& hits_;
-  Counter& coalesced_;
-  Counter& shed_;
-  Counter& failed_;
-  Counter& cold_computes_;
-  Counter& epoch_bumps_;
-  LatencyHistogram& hit_latency_;
-  LatencyHistogram& cold_latency_;
+  /// Private: its counters are per-service state.  Spans still go to
+  /// obs::TelemetryRegistry::global().
+  obs::TelemetryRegistry metrics_;
+  obs::Counter& requests_;
+  obs::Counter& hits_;
+  obs::Counter& coalesced_;
+  obs::Counter& shed_;
+  obs::Counter& failed_;
+  obs::Counter& cold_computes_;
+  obs::Counter& epoch_bumps_;
+  obs::LatencyHistogram& hit_latency_;
+  obs::LatencyHistogram& cold_latency_;
 
   std::atomic<std::uint64_t> seen_epoch_{0};
 

@@ -36,8 +36,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-class Histogram;
-
 /// The tail summary the service metrics report.
 struct QuantileSummary {
   double p50 = 0.0;
@@ -45,17 +43,6 @@ struct QuantileSummary {
   double p95 = 0.0;
   double p99 = 0.0;
 };
-
-/// Streaming quantile estimate from a fixed-width Histogram: walk the
-/// cumulative bucket counts to the bucket containing the q-th sample and
-/// interpolate linearly inside it (samples assumed uniform within a
-/// bucket).  The estimate is exact to one bucket width -- pick the
-/// histogram range to match the latencies being recorded.  q in [0, 1];
-/// requires a non-empty histogram.
-double histogram_quantile(const Histogram& h, double q);
-
-/// p50/p90/p95/p99 in one pass.
-QuantileSummary summarize_quantiles(const Histogram& h);
 
 /// Batch helpers over a sample vector.
 double mean(std::span<const double> xs);

@@ -1,14 +1,20 @@
-// Tests for the unified telemetry layer (src/obs/): counters, snapshots,
+// Tests for the unified telemetry layer (src/obs/): counters, the
+// log-linear latency histogram's layout and quantiles, snapshots,
 // RAII spans on both clocks, the Chrome-trace exporter (round-tripped
 // through the util/json parser), the sim TraceLog bridge, and the
 // determinism of the text export.  ObsThreadedTest matches the tsan test
 // preset's filter, so its concurrency cases also run under TSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/stencil.hpp"
@@ -49,11 +55,11 @@ TEST(ObsMetricsTest, SnapshotDeltaKeepsOnlyChanges) {
   TelemetryRegistry reg;
   reg.counter("stable").add(10);
   reg.counter("moving").add(1);
-  reg.latency("lat", 0.0, 100.0, 10).record(5.0);
+  reg.latency("lat").record(5.0);
   const obs::MetricsSnapshot before = reg.snapshot();
   reg.counter("moving").add(2);
   reg.counter("fresh").add(7);
-  reg.latency("lat", 0.0, 100.0, 10).record(6.0);
+  reg.latency("lat").record(6.0);
   const obs::MetricsSnapshot delta =
       obs::snapshot_delta(before, reg.snapshot());
 
@@ -76,10 +82,161 @@ TEST(ObsMetricsTest, SnapshotTextIsNameOrdered) {
 TEST(ObsMetricsTest, MetricsTextCoversCountersAndHistograms) {
   TelemetryRegistry reg;
   reg.counter("requests").add(3);
-  reg.latency("rtt", 0.0, 1000.0, 100).record(10.0);
+  reg.latency("rtt").record(10.0);
   const std::string text = reg.metrics_text();
   EXPECT_NE(text.find("counter requests 3"), std::string::npos);
   EXPECT_NE(text.find("latency rtt"), std::string::npos);
+}
+
+// ----------------------------------------------------- latency histogram
+
+using obs::LatencyHistogram;
+
+TEST(LatencyHistogramTest, BucketsAndClamping) {
+  // 1 ns opens the first octave; each bucket starts where the last ends.
+  EXPECT_EQ(LatencyHistogram::bucket_of(0.001), 1u);
+  EXPECT_DOUBLE_EQ(LatencyHistogram::bucket_lower_us(1), 0.001);
+  for (std::size_t b = 1; b + 1 < LatencyHistogram::kBuckets; ++b) {
+    const double lo = LatencyHistogram::bucket_lower_us(b);
+    const double hi = LatencyHistogram::bucket_lower_us(b + 1);
+    ASSERT_GT(hi, lo) << "bucket " << b;
+    EXPECT_LE((hi - lo) / lo, 1.0 / 32 + 1e-12) << "bucket " << b;
+    EXPECT_EQ(LatencyHistogram::bucket_of(lo), b);
+    EXPECT_EQ(LatencyHistogram::bucket_of((lo + hi) / 2), b);
+  }
+  // The range reaches past 1000 s; beyond it samples clamp into the last
+  // bucket, below 1 ns into the first.
+  const std::size_t last = LatencyHistogram::kBuckets - 1;
+  EXPECT_GE(LatencyHistogram::bucket_lower_us(last), 1e9);
+  EXPECT_LT(LatencyHistogram::bucket_of(1e9), last);
+  EXPECT_EQ(LatencyHistogram::bucket_of(1e12), last);
+  EXPECT_EQ(LatencyHistogram::bucket_of(
+                std::numeric_limits<double>::infinity()),
+            last);
+  EXPECT_EQ(LatencyHistogram::bucket_of(0.0), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(0.0009), 0u);
+
+  LatencyHistogram h;
+  h.record(1e12);  // out of range: counted, and still the exact max
+  h.record(2.0);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_DOUBLE_EQ(h.max_us(), 1e12);
+  // The overflow bucket has no upper edge: its estimates run up to max.
+  EXPECT_GE(h.quantiles().p99, LatencyHistogram::bucket_lower_us(last));
+  EXPECT_LE(h.quantiles().p99, 1e12);
+}
+
+TEST(LatencyHistogramTest, EmptyReturnsZeroSummary) {
+  const LatencyHistogram h;
+  const QuantileSummary q = h.quantiles();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(q.p50, 0.0);
+  EXPECT_EQ(q.p90, 0.0);
+  EXPECT_EQ(q.p95, 0.0);
+  EXPECT_EQ(q.p99, 0.0);
+  EXPECT_EQ(h.mean_us(), 0.0);
+  EXPECT_EQ(h.min_us(), 0.0);
+  EXPECT_EQ(h.max_us(), 0.0);
+}
+
+TEST(LatencyHistogramTest, ZerosGiveZeroQuantiles) {
+  LatencyHistogram h;
+  for (int i = 0; i < 120; ++i) h.record(0.0);
+  const QuantileSummary q = h.quantiles();
+  EXPECT_EQ(h.count(), 120u);
+  EXPECT_EQ(q.p50, 0.0);
+  EXPECT_EQ(q.p99, 0.0);
+  EXPECT_EQ(h.max_us(), 0.0);
+  EXPECT_EQ(h.mean_us(), 0.0);
+}
+
+TEST(LatencyHistogramTest, NegativeAndNanLandInLowestBucket) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(LatencyHistogram::bucket_of(-5.0), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(nan), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(-inf), 0u);
+
+  LatencyHistogram h;
+  h.record(-5.0);
+  h.record(nan);  // records as 0
+  h.record(-1.0);
+  h.record(3.0);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_EQ(h.min_us(), -5.0);
+  EXPECT_EQ(h.max_us(), 3.0);
+  EXPECT_DOUBLE_EQ(h.mean_us(), (-5.0 + 0.0 - 1.0 + 3.0) / 4);
+  const QuantileSummary q = h.quantiles();
+  // Three of four samples share the lowest bucket, so the median is in it.
+  EXPECT_GE(q.p50, h.min_us());
+  EXPECT_LT(q.p50, LatencyHistogram::bucket_lower_us(1));
+  EXPECT_DOUBLE_EQ(q.p99, 3.0);
+}
+
+TEST(LatencyHistogramTest, SeededSpreadWithinOneBucketOfExact) {
+  // Log-uniform from 10 ns to 100 ms: seven decades, every octave used.
+  Rng rng(2024);
+  LatencyHistogram h;
+  std::vector<double> samples;
+  double sum = 0.0;
+  for (int i = 0; i < 20000; ++i) {
+    const double us = 0.01 * std::pow(10.0, 7.0 * rng.next_double());
+    samples.push_back(us);
+    sum += us;
+    h.record(us);
+  }
+  std::sort(samples.begin(), samples.end());
+  EXPECT_EQ(h.count(), samples.size());
+  EXPECT_EQ(h.min_us(), samples.front());
+  EXPECT_EQ(h.max_us(), samples.back());
+  // The sum is kept in whole nanoseconds: the mean is exact to 1 ns.
+  EXPECT_NEAR(h.mean_us(), sum / static_cast<double>(samples.size()), 1e-3);
+
+  // Nearest-rank order statistic: the ceil(q*n)-th smallest sample.
+  const auto exact = [&samples](double q) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(samples.size())));
+    return samples[rank - 1];
+  };
+  const QuantileSummary q = h.quantiles();
+  const std::pair<double, double> cases[] = {
+      {0.50, q.p50}, {0.90, q.p90}, {0.95, q.p95}, {0.99, q.p99}};
+  for (const auto& [quantile, estimate] : cases) {
+    const double truth = exact(quantile);
+    EXPECT_NEAR(estimate, truth, truth / 32 * (1 + 1e-9)) << "q " << quantile;
+    EXPECT_GE(estimate, h.min_us());
+    EXPECT_LE(estimate, h.max_us());
+  }
+}
+
+TEST(LatencyHistogramTest, UniformSamplesInterpolate) {
+  LatencyHistogram h;
+  for (int i = 0; i < 100; ++i) h.record(i + 0.5);
+  const QuantileSummary q = h.quantiles();
+  EXPECT_NEAR(q.p50, 50.0, 50.0 / 32);
+  EXPECT_NEAR(q.p95, 95.0, 95.0 / 32);
+  EXPECT_NEAR(q.p99, 99.0, 99.0 / 32);
+}
+
+TEST(LatencyHistogramTest, SummaryIsMonotone) {
+  LatencyHistogram h;
+  Rng rng(5);
+  for (int i = 0; i < 1000; ++i) h.record(rng.next_double() * 10.0);
+  const QuantileSummary s = h.quantiles();
+  EXPECT_LE(s.p50, s.p90);
+  EXPECT_LE(s.p90, s.p95);
+  EXPECT_LE(s.p95, s.p99);
+  EXPECT_LE(s.p99, h.max_us());
+  EXPECT_NEAR(s.p50, 5.0, 1.0);
+}
+
+TEST(LatencyHistogramTest, SingleBucketSpike) {
+  LatencyHistogram h;
+  for (int i = 0; i < 8; ++i) h.record(3.5);
+  // Every estimate clamps to [min, max], so a spike reads back exactly.
+  const QuantileSummary q = h.quantiles();
+  EXPECT_EQ(q.p50, 3.5);
+  EXPECT_EQ(q.p99, 3.5);
 }
 
 // --------------------------------------------------------------- spans
@@ -227,7 +384,7 @@ TEST(ObsTraceContextTest, SpansFormATraceTreeWithinAThread) {
 TEST(ObsMetricsTest, DimensionedMetricsTextLabelsEveryRow) {
   TelemetryRegistry reg;
   reg.counter("requests").add(3);
-  reg.latency("rtt", 0.0, 1000.0, 100).record(10.0);
+  reg.latency("rtt").record(10.0);
   const std::string text = reg.metrics_text("node=2");
   EXPECT_NE(text.find("counter requests{node=2} 3"), std::string::npos);
   EXPECT_NE(text.find("latency rtt{node=2} "), std::string::npos);
@@ -507,25 +664,38 @@ TEST_F(ObsThreadedTest, ConcurrentCountersSumExactly) {
 TEST_F(ObsThreadedTest, ConcurrentSpansAndMetricsAreSafe) {
   TelemetryRegistry reg;
   constexpr int kThreads = 8, kSpans = 200;
+  // A reader exports the histogram while the writers record into it.
+  std::atomic<bool> done{false};
+  std::thread reader([&reg, &done] {
+    do {
+      const QuantileSummary q = reg.latency("lat").quantiles();
+      EXPECT_LE(q.p50, q.p99);
+      EXPECT_FALSE(reg.metrics_text().empty());
+    } while (!done.load());
+  });
   std::vector<std::thread> pool;
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([&reg, t] {
       for (int i = 0; i < kSpans; ++i) {
         Span span(reg, "work");
         span.attr("t", JsonValue(t));
-        reg.latency("lat", 0.0, 100.0, 10).record(1.0);
+        reg.latency("lat").record(1.0 + (i + t) % 7);
       }
     });
   }
   for (std::thread& t : pool) t.join();
+  done.store(true);
+  reader.join();
   EXPECT_EQ(reg.span_count(),
             static_cast<std::size_t>(kThreads) * kSpans);
   // Every span carries the stable id of the thread that recorded it.
   for (const obs::SpanRecord& s : reg.spans()) {
     EXPECT_EQ(s.name, "work");
   }
-  EXPECT_EQ(reg.latency("lat", 0.0, 100.0, 10).count(),
-            static_cast<std::size_t>(kThreads) * kSpans);
+  const obs::LatencyHistogram& lat = reg.latency("lat");
+  EXPECT_EQ(lat.count(), static_cast<std::size_t>(kThreads) * kSpans);
+  EXPECT_EQ(lat.min_us(), 1.0);
+  EXPECT_EQ(lat.max_us(), 7.0);
 }
 
 }  // namespace
