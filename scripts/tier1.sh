@@ -11,7 +11,9 @@
 #                               # stage: netpartd --trace-out on a small
 #                               # spec, validated by trace_check (the
 #                               # trace must parse and contain the
-#                               # partitioner / service / adaptive spans),
+#                               # partitioner / service / adaptive and
+#                               # simulator msg spans; metrics.txt must
+#                               # carry sim.messages_delivered),
 #                               # plus a small fleetd run whose merged
 #                               # multi-node trace/metrics/health exports
 #                               # are validated by trace_check --fleet and
@@ -255,9 +257,11 @@ if [[ "$obs_stage" == 1 ]]; then
     --metrics-out "$workdir/metrics.txt" >/dev/null
   ./build/src/apps/trace_check "$workdir/trace.json" \
     partition.search svc.request svc.execute \
-    adaptive.chunk adaptive.repartition
+    adaptive.chunk adaptive.repartition msg
   grep -q "^counter partitioner.calls" "$workdir/metrics.txt" || {
     echo "metrics.txt lacks partitioner counters" >&2; exit 1; }
+  grep -q "^counter sim.messages_delivered" "$workdir/metrics.txt" || {
+    echo "metrics.txt lacks simulator message counters" >&2; exit 1; }
 
   # Fleet half: a small fleetd run exporting the merged multi-node
   # artifacts, validated structurally (--fleet checks per-node pid lanes,

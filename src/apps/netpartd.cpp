@@ -55,9 +55,7 @@
 #include "exec/adaptive.hpp"
 #include "net/presets.hpp"
 #include "obs/chrome_trace.hpp"
-#include "obs/sim_bridge.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/trace.hpp"
 #include "svc/service.hpp"
 #include "topo/placement.hpp"
 #include "util/config.hpp"
@@ -122,9 +120,9 @@ class ZipfSampler {
 
 /// A small adaptive pipeline under a mid-run load step, appended when
 /// telemetry export is on: it puts the adaptive.chunk / repartition /
-/// migration spans on the simulated-time track and bridges the run's
-/// (bounded) message trace into the registry so the exported file shows a
-/// complete message lifecycle next to the service's wall-clock spans.
+/// migration spans on the simulated-time track and records the run's
+/// messages straight into the global registry, so the exported file shows
+/// a complete message lifecycle next to the service's wall-clock spans.
 void traced_adaptive_stage(const Network& net) {
   const apps::StencilConfig cfg{.n = 1200, .iterations = 40,
                                 .overlap = false};
@@ -144,16 +142,14 @@ void traced_adaptive_stage(const Network& net) {
       net, c0, config[static_cast<std::size_t>(c0)] / 2,
       SimTime::seconds(2), 0.5);
 
-  sim::TraceLog log(1 << 16);
   ExecutionOptions exec_options;
   exec_options.load = &load;
-  exec_options.tracer = log.tracer();
+  exec_options.telemetry = &obs::TelemetryRegistry::global();
   const AdaptiveOptions adaptive_options{.check_interval = 5,
                                          .imbalance_threshold = 1.2,
                                          .pdu_bytes = 4 * cfg.n};
   const AdaptiveResult result = execute_adaptive(
       net, spec, placement, initial, exec_options, adaptive_options);
-  obs::bridge_trace_log(log, obs::TelemetryRegistry::global());
   std::printf("\ntraced adaptive stage: %d repartitions over %s simulated "
               "ms\n", result.repartitions,
               format_double(result.elapsed.as_millis(), 0).c_str());
@@ -333,17 +329,21 @@ int run(const Config& args) {
 
   if (telemetry) {
     traced_adaptive_stage(net);
+    // Records the bounded event buffer turned away stay visible in the
+    // metrics export (the same counter name fleetd uses).
+    obs::TelemetryRegistry& global = obs::TelemetryRegistry::global();
+    global.counter("obs.records.dropped").add(global.dropped_records());
     if (trace_out) {
       std::ofstream out(*trace_out);
       NP_REQUIRE(out.good(), "cannot open trace_out path");
-      obs::write_chrome_trace(out, obs::TelemetryRegistry::global());
+      obs::write_chrome_trace(out, global);
       std::printf("trace -> %s (%zu spans)\n", trace_out->c_str(),
-                  obs::TelemetryRegistry::global().span_count());
+                  global.span_count());
     }
     if (metrics_out) {
       std::ofstream out(*metrics_out);
       NP_REQUIRE(out.good(), "cannot open metrics_out path");
-      out << obs::TelemetryRegistry::global().metrics_text();
+      out << global.metrics_text();
       std::printf("metrics -> %s\n", metrics_out->c_str());
     }
   }

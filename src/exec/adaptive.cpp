@@ -15,16 +15,6 @@ namespace netpart {
 
 namespace {
 
-/// Wrap a pipeline-clock tracer for a run whose simulator restarts at
-/// local time 0: shift every event by the run's pipeline-time origin.
-sim::Tracer shifted_tracer(const sim::Tracer& sink, SimTime origin) {
-  return [&sink, origin](const sim::TraceEvent& event) {
-    sim::TraceEvent shifted = event;
-    shifted.at = origin + event.at;
-    sink(shifted);
-  };
-}
-
 /// Simulate moving the PDU deltas between ranks and return the elapsed
 /// redistribution time.  Surplus ranks ship blocks to deficit ranks,
 /// matched greedily in rank order (blocks are contiguous, so adjacent
@@ -50,9 +40,7 @@ SimTime redistribute(const Network& network, const Placement& placement,
   sim::Engine engine;
   sim::NetSim net(engine, network, exec_options.sim_params,
                   Rng(exec_options.seed ^ 0x5EED));
-  if (exec_options.tracer) {
-    net.set_tracer(shifted_tracer(exec_options.tracer, origin));
-  }
+  net.set_telemetry(exec_options.telemetry, origin);
   // The PDUs travel over the same (possibly degraded) network: arm the
   // fault plan at the pipeline time the redistribution starts.
   std::optional<sim::FaultInjector> injector;
@@ -124,9 +112,6 @@ AdaptiveResult run_chunked(const Network& network,
     options.seed = exec_options.seed + static_cast<std::uint64_t>(
                                            997 * chunk_index);
     const SimTime chunk_start = options.load_time_origin;
-    if (exec_options.tracer) {
-      options.tracer = shifted_tracer(exec_options.tracer, chunk_start);
-    }
     const ExecutionResult run =
         execute(network, chunk_spec, placement, current, options);
     chunks_counter.add(1);

@@ -42,7 +42,7 @@ class Runner {
         net_(engine_, network, options.sim_params, Rng(options.seed)),
         jitter_rng_(Rng(options.seed).stream(0xC0FFEE)),
         schedule_(default_schedule(spec)) {
-    if (options_.tracer) net_.set_tracer(options_.tracer);
+    net_.set_telemetry(options_.telemetry, options_.load_time_origin);
     NP_REQUIRE(!placement_.empty(), "placement must be non-empty");
     NP_REQUIRE(partition_.num_ranks() ==
                    static_cast<int>(placement_.size()),

@@ -24,6 +24,10 @@ namespace sim {
 struct FaultPlan;
 }  // namespace sim
 
+namespace obs {
+class TelemetryRegistry;
+}  // namespace obs
+
 /// Thrown when an execution cannot finish: a fault plan (crash, permanent
 /// partition with give_up_after_max_rounds) or the sim-time budget left
 /// some rank's work undeliverable.
@@ -58,11 +62,11 @@ struct ExecutionOptions {
   /// finished by then, execute() throws ExecutionStalled instead of
   /// running (or hanging) forever.
   SimTime budget = SimTime::max();
-  /// Observer for this run's simulator trace events (see sim/trace.hpp).
-  /// Event timestamps are on the run's local clock; callers that stitch
-  /// chunks together (the adaptive executor) shift them by the chunk's
-  /// pipeline-time origin before forwarding.  Empty = no tracing.
-  sim::Tracer tracer;
+  /// Registry that receives this run's simulator telemetry (msg spans,
+  /// lifecycle and fault instants, sim.* counters; see sim/netsim.hpp),
+  /// stamped on the pipeline clock: load_time_origin + local time.
+  /// nullptr = no simulator telemetry.  Must outlive the execution.
+  obs::TelemetryRegistry* telemetry = nullptr;
 };
 
 struct ExecutionResult {

@@ -8,8 +8,9 @@
 //     the partitioner running on worker threads).
 //   * explicit sim clock -- the overload taking a SimTime start; the
 //     simulator stamps both ends itself via end_at(), because simulated
-//     work does not advance the wall clock.  Used by the adaptive executor
-//     and the sim TraceLog bridge.
+//     work does not advance the wall clock.  Used by the adaptive executor.
+//     (The simulator records its per-message msg spans directly, since a
+//     message's start and end are events, not a lexical scope.)
 //
 // Spans form a per-thread stack (strict LIFO: construct them as locals).
 // Span::depth() exposes the nesting level; Chrome trace viewers nest

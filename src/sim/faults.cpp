@@ -307,8 +307,7 @@ void FaultInjector::arm() {
       Host& host = net_.host(ref);
       if (!host.alive()) return;  // two crashes on one host: first wins
       host.crash();
-      net_.emit(TraceEvent{TraceEvent::Kind::HostCrashed,
-                           net_.engine().now(), ref, ref});
+      net_.instant("host-crash", net_.engine().now(), ref, ref);
     });
   }
 
@@ -320,9 +319,8 @@ void FaultInjector::arm() {
     const double factor = plan_.slowdown_at(ref, abs_now());
     if (factor == host.slowdown()) return;
     host.set_slowdown(factor);
-    net_.emit(TraceEvent{factor > 1.0 ? TraceEvent::Kind::HostSlowed
-                                      : TraceEvent::Kind::HostRestored,
-                         net_.engine().now(), ref, ref, 0, -1, factor});
+    net_.instant(factor > 1.0 ? "host-slow" : "host-restore",
+                 net_.engine().now(), ref, ref, 0, -1, factor);
   };
   for (const FaultPlan::HostSlowdown& s : plan_.slowdowns) {
     if (s.until != SimTime::max() && s.until <= origin_) continue;
@@ -340,10 +338,8 @@ void FaultInjector::arm() {
     const bool down = plan_.channel_down_at(seg, abs_now());
     if (down == channel.down()) return;
     channel.set_down(down);
-    net_.emit(TraceEvent{down ? TraceEvent::Kind::ChannelDown
-                              : TraceEvent::Kind::ChannelUp,
-                         net_.engine().now(), ProcessorRef{}, ProcessorRef{},
-                         0, seg});
+    net_.instant(down ? "chan-down" : "chan-up", net_.engine().now(),
+                 ProcessorRef{}, ProcessorRef{}, 0, seg);
   };
   for (const FaultPlan::ChannelFlap& f : plan_.flaps) {
     if (f.until <= origin_) continue;
@@ -360,10 +356,9 @@ void FaultInjector::arm() {
     const double factor = plan_.degradation_at(seg, abs_now());
     if (factor == channel.degradation()) return;
     channel.set_degradation(factor);
-    net_.emit(TraceEvent{factor > 1.0 ? TraceEvent::Kind::SegmentDegraded
-                                      : TraceEvent::Kind::SegmentRestored,
-                         net_.engine().now(), ProcessorRef{}, ProcessorRef{},
-                         0, seg, factor});
+    net_.instant(factor > 1.0 ? "seg-degrade" : "seg-restore",
+                 net_.engine().now(), ProcessorRef{}, ProcessorRef{}, 0, seg,
+                 factor);
   };
   for (const FaultPlan::SegmentDegrade& d : plan_.degrades) {
     if (d.until <= origin_) continue;
@@ -380,10 +375,9 @@ void FaultInjector::arm() {
   for (const ChurnEvent& e : plan_.churn) {
     if (e.at <= origin_) continue;
     engine.schedule_at(local(e.at), [this, e] {
-      net_.emit(TraceEvent{e.kind == ChurnEvent::Kind::Revoke
-                               ? TraceEvent::Kind::ProcessorRevoked
-                               : TraceEvent::Kind::ProcessorRestored,
-                           net_.engine().now(), e.ref, e.ref});
+      net_.instant(e.kind == ChurnEvent::Kind::Revoke ? "proc-revoke"
+                                                      : "proc-restore",
+                   net_.engine().now(), e.ref, e.ref);
     });
   }
 }

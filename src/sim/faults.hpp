@@ -5,11 +5,12 @@
 // makes that churn a first-class, *reproducible* simulation input.  A
 // FaultPlan is a fixed schedule of failures; the FaultInjector replays it
 // against a NetSim by scheduling engine events that flip host/channel fault
-// state and emit fault TraceEvents through the simulator's tracer, so every
-// fault is visible on the same stream as the message lifecycle.  ChaosRng
-// turns a single seed into a randomised plan -- the same seed always yields
-// the same plan, and a plan always yields the same event stream, which is
-// what lets the chaos test tier shrink any failing run to one integer.
+// state and record each transition as an instant through
+// NetSim::instant(), so every fault lands on the same telemetry timeline
+// as the message lifecycle.  ChaosRng turns a single seed into a randomised
+// plan -- the same seed always yields the same plan, and a plan always
+// yields the same event stream, which is what lets the chaos test tier
+// shrink any failing run to one integer.
 //
 // What can fail:
 //   * crash     -- a host dies at time t and never returns; traffic touching
@@ -145,9 +146,12 @@ class ChaosRng {
 
 /// Replays a FaultPlan against one NetSim: schedules engine events at each
 /// fault boundary that flip the corresponding Host/Channel fault state and
-/// emit the fault TraceEvents.  Faults at or before `origin` are applied
-/// immediately on arm(); later faults fire at engine time (t - origin).
-/// The plan and the simulator must outlive the armed events.
+/// record the transition as a NetSim::instant() ("host-crash",
+/// "host-slow"/"host-restore", "chan-down"/"chan-up",
+/// "seg-degrade"/"seg-restore", "proc-revoke"/"proc-restore").  Faults at
+/// or before `origin` are applied immediately on arm(); later faults fire
+/// at engine time (t - origin).  The plan and the simulator must outlive
+/// the armed events.
 class FaultInjector {
  public:
   FaultInjector(NetSim& net, const FaultPlan& plan,

@@ -1,11 +1,28 @@
 #include "sim/netsim.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
+#include "obs/telemetry.hpp"
 #include "util/error.hpp"
 
 namespace netpart::sim {
+
+namespace {
+
+std::string ref_string(const ProcessorRef& ref) {
+  // Built with += rather than one operator+ chain: gcc 12's -Wrestrict
+  // fires a false positive on the chained temporaries under -O2.
+  std::string out = "(";
+  out += std::to_string(ref.cluster);
+  out += ',';
+  out += std::to_string(ref.index);
+  out += ')';
+  return out;
+}
+
+}  // namespace
 
 NetSim::NetSim(Engine& engine, const Network& network, NetSimParams params,
                Rng rng)
@@ -54,6 +71,64 @@ std::int64_t NetSim::fragments(std::int64_t bytes) const {
   return (bytes + params_.mtu - 1) / params_.mtu;
 }
 
+void NetSim::set_telemetry(obs::TelemetryRegistry* registry,
+                           SimTime origin) {
+  telemetry_ = registry;
+  telemetry_origin_ = origin;
+  if (registry == nullptr) return;
+  delivered_counter_ = &registry->counter("sim.messages_delivered");
+  bytes_counter_ = &registry->counter("sim.bytes_delivered");
+  lost_counter_ = &registry->counter("sim.fragments_lost");
+  dropped_counter_ = &registry->counter("sim.messages_dropped");
+}
+
+std::uint32_t NetSim::lane(ProcessorRef src, SegmentId segment) const {
+  // Host slots are stable across simulators of one network, so a sender
+  // keeps its lane over the separate simulators of a chunked run.
+  const std::size_t slot =
+      src.cluster >= 0 ? host_slot(src)
+                       : hosts_.size() + static_cast<std::size_t>(segment);
+  return static_cast<std::uint32_t>(slot);
+}
+
+void NetSim::record_instant(const char* name, SimTime at, ProcessorRef src,
+                            ProcessorRef dst, std::int64_t bytes,
+                            SegmentId segment, double factor) {
+  if (!telemetry_->enabled()) return;
+  obs::InstantRecord instant;
+  instant.name = name;
+  instant.category = "sim.event";
+  instant.sim_clock = true;
+  instant.tid = lane(src, segment);
+  instant.ts_us = (telemetry_origin_ + at).as_micros();
+  if (src.cluster >= 0) instant.attrs.emplace_back("src", ref_string(src));
+  if (dst.cluster >= 0) instant.attrs.emplace_back("dst", ref_string(dst));
+  if (bytes != 0) instant.attrs.emplace_back("bytes", JsonValue(bytes));
+  if (segment >= 0) {
+    instant.attrs.emplace_back("segment",
+                               JsonValue(static_cast<int>(segment)));
+  }
+  if (factor != 0.0) instant.attrs.emplace_back("factor", factor);
+  telemetry_->record_instant(std::move(instant));
+}
+
+void NetSim::record_delivery(const Transit& t, SimTime done) {
+  delivered_counter_->add(1);
+  bytes_counter_->add(static_cast<std::uint64_t>(t.bytes));
+  if (!telemetry_->enabled()) return;
+  obs::SpanRecord span;
+  span.name = "msg";
+  span.category = "sim.msg";
+  span.sim_clock = true;
+  span.tid = lane(t.src, -1);
+  span.start_us = (telemetry_origin_ + t.initiated).as_micros();
+  span.dur_us = (telemetry_origin_ + done).as_micros() - span.start_us;
+  span.attrs.emplace_back("src", ref_string(t.src));
+  span.attrs.emplace_back("dst", ref_string(t.dst));
+  span.attrs.emplace_back("bytes", JsonValue(t.bytes));
+  telemetry_->record_span(std::move(span));
+}
+
 SimTime NetSim::message_occupancy(const ProcessorType& sender_type,
                                   const Segment& segment,
                                   std::int64_t bytes) const {
@@ -91,6 +166,7 @@ void NetSim::send(ProcessorRef src, ProcessorRef dst, std::int64_t bytes,
   transit->src = src;
   transit->dst = dst;
   transit->bytes = bytes;
+  transit->initiated = ready;
   transit->on_delivered = std::move(on_delivered);
   if (network_.needs_coercion(src.cluster, dst.cluster)) {
     transit->coerce_cost = dst_cluster.type().coerce_per_byte * bytes;
@@ -123,19 +199,15 @@ void NetSim::send(ProcessorRef src, ProcessorRef dst, std::int64_t bytes,
     }
   }
 
-  trace(TraceEvent::Kind::SendInitiated, *transit, ready);
   engine_.schedule_at(ready,
                       [this, transit]() mutable { run_leg(transit); });
 }
 
-void NetSim::trace(TraceEvent::Kind kind, const Transit& t, SimTime at) {
-  if (!tracer_) return;
-  tracer_(TraceEvent{kind, at, t.src, t.dst, t.bytes});
-}
-
 void NetSim::drop(const Transit& t) {
   ++dropped_;
-  trace(TraceEvent::Kind::MessageDropped, t, engine_.now());
+  if (telemetry_ == nullptr) return;
+  dropped_counter_->add(1);
+  record_instant("dropped", engine_.now(), t.src, t.dst, t.bytes, -1, 0.0);
 }
 
 void NetSim::run_leg(std::shared_ptr<Transit> t) {
@@ -164,7 +236,7 @@ void NetSim::next_fragment(std::shared_ptr<Transit> t,
   if (frags_left == 0) {
     if (lost == 0) {
       const SimTime done = engine_.now() + leg.post_delay;
-      trace(TraceEvent::Kind::LegCompleted, *t, done);
+      instant("leg", done, t->src, t->dst, t->bytes);
       engine_.schedule_at(done, [this, t = std::move(t)]() mutable {
         ++t->next_leg;
         run_leg(std::move(t));
@@ -197,8 +269,9 @@ void NetSim::next_fragment(std::shared_ptr<Transit> t,
   // surviving traffic is independent of when channels flap.
   const bool bernoulli_drop = rng_.next_bool(params_.loss_rate);
   const bool dropped = bernoulli_drop || leg.channel->down();
-  if (dropped) {
-    trace(TraceEvent::Kind::FragmentLost, *t, grant.end);
+  if (dropped && telemetry_ != nullptr) {
+    lost_counter_->add(1);
+    record_instant("lost", grant.end, t->src, t->dst, t->bytes, -1, 0.0);
   }
   engine_.schedule_at(
       grant.end, [this, t = std::move(t), frags_left, bytes_left, frag_bytes,
@@ -218,7 +291,7 @@ void NetSim::finish_delivery(const std::shared_ptr<Transit>& t) {
   }
   const SimTime done = receiver.reserve(
       engine_.now(), params_.recv_processing + t->coerce_cost);
-  trace(TraceEvent::Kind::Delivered, *t, done);
+  if (telemetry_ != nullptr) record_delivery(*t, done);
   engine_.schedule_at(done, [this, t] {
     ++delivered_;
     t->on_delivered();

@@ -17,6 +17,12 @@
 //
 // Datagram loss is Bernoulli per fragment; lost fragments are retransmitted
 // after an RTO, which is how the MMPS layer above provides reliability.
+//
+// Telemetry: with a registry installed (set_telemetry), every delivered
+// message becomes one sim-clock "msg" span from its own initiation to its
+// own delivery, every other lifecycle event (leg, lost, dropped) and every
+// fault transition an instant, and the sim.* counters count as the events
+// happen.  Without one, each event costs a single null-pointer test.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +35,13 @@
 #include "sim/channel.hpp"
 #include "sim/engine.hpp"
 #include "sim/host.hpp"
-#include "sim/trace.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
+
+namespace netpart::obs {
+class Counter;
+class TelemetryRegistry;
+}  // namespace netpart::obs
 
 namespace netpart::sim {
 
@@ -50,7 +60,8 @@ struct NetSimParams {
   /// reliable layer never gives up; this guards against loss_rate ~ 1).
   int max_retransmit_rounds = 64;
   /// When true, a message that exhausts max_retransmit_rounds is dropped
-  /// (traced as MessageDropped) instead of tripping an assertion.  Enable
+  /// (counted in sim.messages_dropped and traced as a "dropped" instant)
+  /// instead of tripping an assertion.  Enable
   /// under fault injection, where a long channel partition legitimately
   /// defeats the retransmission layer.
   bool give_up_after_max_rounds = false;
@@ -70,8 +81,10 @@ class NetSim {
 
   /// Initiate a message from `src` to `dst` at engine.now().  The sender
   /// host is reserved for the initiation cost; the callback fires at the
-  /// delivery-complete time.  Messages between a pair of hosts are
-  /// delivered in initiation order (FIFO channels).
+  /// delivery-complete time.  Without loss, messages between a pair of
+  /// hosts are delivered in initiation order (FIFO channels); under loss a
+  /// retransmitted message can be overtaken by a later one, and the
+  /// reliable layer above (mmps::System) resequences.
   void send(ProcessorRef src, ProcessorRef dst, std::int64_t bytes,
             DeliveryCallback on_delivered);
 
@@ -98,15 +111,24 @@ class NetSim {
   /// Number of messages abandoned (dead host, retransmit cap).
   std::uint64_t messages_dropped() const { return dropped_; }
 
-  /// Install a message-lifecycle observer (see sim/trace.hpp); pass
-  /// nullptr to disable.  The tracer must outlive the simulator.
-  void set_tracer(Tracer tracer) { tracer_ = std::move(tracer); }
+  /// Record this simulator's events into `registry` (nullptr = off).
+  /// `origin` shifts the local clock onto the pipeline clock (a chunked
+  /// run restarts each simulator at time zero).  Spans and instants are
+  /// recorded while registry->enabled(); the sim.messages_delivered,
+  /// sim.bytes_delivered, sim.fragments_lost and sim.messages_dropped
+  /// counters always count.  The registry must outlive the simulator.
+  void set_telemetry(obs::TelemetryRegistry* registry,
+                     SimTime origin = SimTime::zero());
 
-  /// Emit an event through the installed tracer (no-op without one).  The
-  /// fault injector uses this to put fault transitions on the same stream
-  /// as the message lifecycle.
-  void emit(const TraceEvent& event) {
-    if (tracer_) tracer_(event);
+  /// Record a sim-clock instant (category "sim.event") at local time `at`.
+  /// Events that name a processor land on its sender lane; segment events
+  /// (src.cluster < 0) on that segment's lane.  The fault injector uses it
+  /// to put fault transitions on the message-lifecycle timeline.
+  void instant(const char* name, SimTime at, ProcessorRef src,
+               ProcessorRef dst = ProcessorRef{}, std::int64_t bytes = 0,
+               SegmentId segment = -1, double factor = 0.0) {
+    if (telemetry_ == nullptr) return;
+    record_instant(name, at, src, dst, bytes, segment, factor);
   }
 
  private:
@@ -125,6 +147,7 @@ class NetSim {
     ProcessorRef src;
     ProcessorRef dst;
     std::int64_t bytes = 0;
+    SimTime initiated;  ///< sender host finished the initiation
     SimTime coerce_cost;
     DeliveryCallback on_delivered;
   };
@@ -161,9 +184,21 @@ class NetSim {
   std::uint64_t delivered_ = 0;
   std::uint64_t retransmissions_ = 0;
   std::uint64_t dropped_ = 0;
-  Tracer tracer_;
 
-  void trace(TraceEvent::Kind kind, const Transit& t, SimTime at);
+  // Installed telemetry (off while telemetry_ is null); the counters are
+  // resolved once per set_telemetry().
+  obs::TelemetryRegistry* telemetry_ = nullptr;
+  SimTime telemetry_origin_;
+  obs::Counter* delivered_counter_ = nullptr;
+  obs::Counter* bytes_counter_ = nullptr;
+  obs::Counter* lost_counter_ = nullptr;
+  obs::Counter* dropped_counter_ = nullptr;
+
+  void record_instant(const char* name, SimTime at, ProcessorRef src,
+                      ProcessorRef dst, std::int64_t bytes, SegmentId segment,
+                      double factor);
+  void record_delivery(const Transit& t, SimTime done);
+  std::uint32_t lane(ProcessorRef src, SegmentId segment) const;
   void drop(const Transit& t);
 };
 

@@ -2,6 +2,9 @@
 // (the paper's Section 7 future work).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "apps/stencil.hpp"
 #include "calib/calibrate.hpp"
 #include "core/decompose.hpp"
@@ -9,6 +12,7 @@
 #include "exec/executor.hpp"
 #include "exec/load.hpp"
 #include "net/presets.hpp"
+#include "obs/telemetry.hpp"
 
 namespace netpart {
 namespace {
@@ -157,6 +161,53 @@ TEST(AdaptiveTest, RedistributionCostIsCounted) {
       testbed(), f.spec, f.placement, f.initial, options, f.adaptive);
   ASSERT_GT(r.repartitions, 0);
   EXPECT_GT(r.redistribution_time, SimTime::zero());
+}
+
+TEST(AdaptiveTest, TelemetryLandsOnThePipelineClock) {
+  // Each chunk (and each redistribution) runs a fresh simulator from local
+  // time 0; its msg spans must land inside that chunk's window on the
+  // pipeline clock, which the global registry's adaptive.* spans mark.
+  AdaptiveFixture f;
+  const LoadSchedule skew =
+      LoadSchedule::step(testbed(), 0, 3, SimTime::zero(), 0.6);
+  obs::TelemetryRegistry reg;
+  ExecutionOptions options;
+  options.load = &skew;
+  options.telemetry = &reg;
+  obs::TelemetryRegistry& global = obs::TelemetryRegistry::global();
+  global.clear_events();
+  global.set_enabled(true);
+  const AdaptiveResult r = execute_adaptive(
+      testbed(), f.spec, f.placement, f.initial, options, f.adaptive);
+  global.set_enabled(false);
+  const std::vector<obs::SpanRecord> windows = global.spans();
+  global.clear_events();
+  ASSERT_GT(r.repartitions, 0);
+
+  std::vector<obs::SpanRecord> msgs;
+  for (const obs::SpanRecord& s : reg.spans()) {
+    if (s.name == "msg") msgs.push_back(s);
+  }
+  ASSERT_FALSE(msgs.empty());
+  for (const obs::SpanRecord& m : msgs) {
+    EXPECT_LE(m.start_us + m.dur_us, r.elapsed.as_micros() + 1e-6);
+  }
+  int chunks = 0;
+  int migrations = 0;
+  for (const obs::SpanRecord& w : windows) {
+    if (w.name != "adaptive.chunk" && w.name != "adaptive.migration") {
+      continue;
+    }
+    (w.name == "adaptive.chunk" ? chunks : migrations) += 1;
+    const bool has_msg = std::any_of(
+        msgs.begin(), msgs.end(), [&w](const obs::SpanRecord& m) {
+          return m.start_us > w.start_us &&
+                 m.start_us < w.start_us + w.dur_us;
+        });
+    EXPECT_TRUE(has_msg) << w.name << " at " << w.start_us << "us";
+  }
+  EXPECT_EQ(chunks, 8);
+  EXPECT_EQ(migrations, r.repartitions);
 }
 
 TEST(LoadScheduleTest, RandomWalkIsBoundedAndSeeded) {

@@ -33,12 +33,10 @@
 #include "net/builder.hpp"
 #include "net/presets.hpp"
 #include "obs/chrome_trace.hpp"
-#include "obs/sim_bridge.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
 #include "sim/netsim.hpp"
-#include "sim/trace.hpp"
 #include "topo/placement.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -433,10 +431,10 @@ TEST(FaultTolerantProtocolTest, BudgetBoundsARunThatCannotComplete) {
 // ------------------------------------------------------------- telemetry
 
 TEST(ChaosTraceExportTest, FaultEventsAppearInExportedTrace) {
-  // One representative seed end-to-end: a faulted execution's TraceLog,
-  // bridged into a registry and exported as Chrome trace JSON, must show
-  // the plan's performance faults as instant events alongside the message
-  // spans -- the observability contract for debugging chaos runs.
+  // One representative seed end-to-end: a faulted execution recorded into
+  // a registry and exported as Chrome trace JSON must show the plan's
+  // performance faults as instant events alongside the message spans --
+  // the observability contract for debugging chaos runs.
   const Network net = presets::paper_testbed();
   const sim::FaultPlan plan = perf_plan(/*seed=*/3, net);
   ASSERT_FALSE(plan.slowdowns.empty());
@@ -449,14 +447,12 @@ TEST(ChaosTraceExportTest, FaultEventsAppearInExportedTrace) {
       balanced_partition(net, config, order, cfg.n);
   const ComputationSpec spec = apps::make_stencil_spec(cfg);
 
-  sim::TraceLog log;
+  obs::TelemetryRegistry registry;
   ExecutionOptions options;
   options.faults = &plan;
-  options.tracer = log.tracer();
+  options.telemetry = &registry;
   (void)execute(net, spec, placement, partition, options);
 
-  obs::TelemetryRegistry registry;
-  obs::bridge_trace_log(log, registry);
   const JsonValue parsed =
       JsonValue::parse(obs::chrome_trace_json(registry).dump(1));
   const JsonValue* events = parsed.find("traceEvents");

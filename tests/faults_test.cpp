@@ -9,9 +9,10 @@
 
 #include "net/availability.hpp"
 #include "net/presets.hpp"
+#include "obs/chrome_trace.hpp"
+#include "obs/telemetry.hpp"
 #include "sim/faults.hpp"
 #include "sim/netsim.hpp"
-#include "sim/trace.hpp"
 #include "topo/placement.hpp"
 #include "util/error.hpp"
 
@@ -19,6 +20,15 @@ namespace netpart::sim {
 namespace {
 
 Network testbed() { return presets::paper_testbed(); }
+
+std::size_t count_instants(const obs::TelemetryRegistry& reg,
+                           const std::string& name) {
+  std::size_t n = 0;
+  for (const obs::InstantRecord& i : reg.instants()) {
+    if (i.name == name) ++n;
+  }
+  return n;
+}
 
 // ---------------------------------------------------------- plan queries
 
@@ -185,8 +195,8 @@ TEST(FaultInjectorTest, CrashedHostDropsTraffic) {
   const Network net = testbed();
   Engine engine;
   NetSim sim(engine, net, NetSimParams{}, Rng(1));
-  TraceLog log;
-  sim.set_tracer(log.tracer());
+  obs::TelemetryRegistry reg;
+  sim.set_telemetry(&reg);
 
   FaultPlan plan;
   plan.crashes.push_back({SimTime::millis(200), ProcessorRef{1, 1}});
@@ -210,14 +220,18 @@ TEST(FaultInjectorTest, CrashedHostDropsTraffic) {
   engine.run();
   EXPECT_EQ(delivered_to_dead, 0);
   EXPECT_EQ(sim.messages_dropped(), 2u);
-  EXPECT_EQ(log.count(TraceEvent::Kind::HostCrashed), 1u);
-  EXPECT_EQ(log.count(TraceEvent::Kind::MessageDropped), 2u);
+  EXPECT_EQ(reg.counter("sim.messages_dropped").value(),
+            sim.messages_dropped());
+  EXPECT_EQ(count_instants(reg, "host-crash"), 1u);
+  EXPECT_EQ(count_instants(reg, "dropped"), 2u);
 
   // The crash event carries the host and the exact time.
-  for (const TraceEvent& e : log.events()) {
-    if (e.kind == TraceEvent::Kind::HostCrashed) {
-      EXPECT_EQ(e.src, (ProcessorRef{1, 1}));
-      EXPECT_EQ(e.at, SimTime::millis(200));
+  for (const obs::InstantRecord& e : reg.instants()) {
+    if (e.name == "host-crash") {
+      ASSERT_FALSE(e.attrs.empty());
+      EXPECT_EQ(e.attrs[0].first, "src");
+      EXPECT_EQ(e.attrs[0].second.as_string(), "(1,1)");
+      EXPECT_DOUBLE_EQ(e.ts_us, SimTime::millis(200).as_micros());
     }
   }
 }
@@ -247,8 +261,8 @@ TEST(FaultInjectorTest, FlapForcesRetransmissionThenRecovers) {
   const Network net = testbed();
   Engine engine;
   NetSim sim(engine, net, NetSimParams{}, Rng(1));
-  TraceLog log;
-  sim.set_tracer(log.tracer());
+  obs::TelemetryRegistry reg;
+  sim.set_telemetry(&reg);
 
   FaultPlan plan;
   // Segment 0 partitioned for the first 100ms.
@@ -266,9 +280,9 @@ TEST(FaultInjectorTest, FlapForcesRetransmissionThenRecovers) {
   EXPECT_EQ(delivered, 1);
   EXPECT_GT(delivered_at, SimTime::millis(100));
   EXPECT_GT(sim.retransmissions(), 0u);
-  EXPECT_EQ(log.count(TraceEvent::Kind::ChannelDown), 1u);
-  EXPECT_EQ(log.count(TraceEvent::Kind::ChannelUp), 1u);
-  EXPECT_GT(log.count(TraceEvent::Kind::FragmentLost), 0u);
+  EXPECT_EQ(count_instants(reg, "chan-down"), 1u);
+  EXPECT_EQ(count_instants(reg, "chan-up"), 1u);
+  EXPECT_GT(count_instants(reg, "lost"), 0u);
 }
 
 TEST(FaultInjectorTest, GiveUpAfterMaxRoundsInsteadOfHangingOrAsserting) {
@@ -324,7 +338,8 @@ TEST(FaultInjectorTest, SecondArmIsAnError) {
 // ------------------------------------------------- determinism regression
 
 /// Full stream fingerprint of one chaos scenario: generated plan, injected
-/// faults, and background traffic, all rendered from the trace log.
+/// faults, and background traffic, all rendered as the registry's
+/// Chrome-trace export.
 std::string chaos_fingerprint(std::uint64_t seed) {
   const Network net = presets::paper_testbed();
   ChaosOptions options;
@@ -338,8 +353,8 @@ std::string chaos_fingerprint(std::uint64_t seed) {
   params.loss_rate = 0.02;
   params.give_up_after_max_rounds = true;
   NetSim sim(engine, net, params, Rng(seed ^ 0x9E3779B97F4A7C15ull));
-  TraceLog log;
-  sim.set_tracer(log.tracer());
+  obs::TelemetryRegistry reg;
+  sim.set_telemetry(&reg);
   FaultInjector injector(sim, plan);
   injector.arm();
 
@@ -357,15 +372,26 @@ std::string chaos_fingerprint(std::uint64_t seed) {
     });
   }
   engine.run();
-  return plan.describe() + "----\n" + log.render(100000);
+  return plan.describe() + "----\n" + obs::chrome_trace_json(reg).dump(1);
 }
 
 TEST(FaultDeterminismTest, SameSeedByteIdenticalEventStream) {
+  // Across the seeds, every event kind rides in the fingerprint.
+  std::string all;
   for (std::uint64_t seed : {1ull, 7ull, 23ull}) {
     const std::string first = chaos_fingerprint(seed);
     const std::string second = chaos_fingerprint(seed);
     EXPECT_EQ(first, second) << "seed " << seed;
-    EXPECT_FALSE(first.empty());
+    all += first;
+  }
+  for (const char* kind :
+       {"msg", "leg", "lost", "dropped", "host-crash", "host-slow",
+        "host-restore", "chan-down", "chan-up", "seg-degrade", "seg-restore",
+        "proc-revoke"}) {
+    std::string quoted = "\"";
+    quoted += kind;
+    quoted += '"';
+    EXPECT_NE(all.find(quoted), std::string::npos) << "no " << kind;
   }
 }
 

@@ -1,7 +1,7 @@
 // Tests for the unified telemetry layer (src/obs/): counters, the
 // log-linear latency histogram's layout and quantiles, snapshots,
 // RAII spans on both clocks, the Chrome-trace exporter (round-tripped
-// through the util/json parser), the sim TraceLog bridge, and the
+// through the util/json parser), the simulator's msg spans, and the
 // determinism of the text export.  ObsThreadedTest matches the tsan test
 // preset's filter, so its concurrency cases also run under TSan.
 #include <gtest/gtest.h>
@@ -24,12 +24,10 @@
 #include "net/availability.hpp"
 #include "net/presets.hpp"
 #include "obs/chrome_trace.hpp"
-#include "obs/sim_bridge.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "sim/engine.hpp"
 #include "sim/netsim.hpp"
-#include "sim/trace.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -495,71 +493,41 @@ TEST(ObsChromeTraceTest, SpanArgsCarryTraceIdsAsHexStrings) {
   EXPECT_TRUE(saw_untraced);
 }
 
-// ---------------------------------------------------------- sim bridge
+// ------------------------------------------------- simulator telemetry
 
 TEST(ObsSimBridgeTest, MatchesSendDeliveredPairsIntoSpans) {
-  sim::TraceLog log;
-  sim::Tracer tracer = log.tracer();
-  const ProcessorRef a{0, 0}, b{1, 0};
-  tracer({sim::TraceEvent::Kind::SendInitiated, SimTime::millis(1), a, b,
-          128});
-  tracer({sim::TraceEvent::Kind::FragmentLost, SimTime::millis(2), a, b,
-          128});
-  tracer({sim::TraceEvent::Kind::Delivered, SimTime::millis(4), a, b, 128});
-
+  // The simulator records straight into a registry: one sim-clock msg span
+  // per delivery, shifted by the origin; a lost fragment is an instant.
+  const Network net = presets::paper_testbed();
+  sim::Engine engine;
+  sim::NetSim netsim(engine, net, sim::NetSimParams{}, Rng(1));
   TelemetryRegistry reg;
-  obs::bridge_trace_log(log, reg, SimTime::millis(100));
+  netsim.set_telemetry(&reg, SimTime::millis(100));
+  // Segment 0 drops the first attempt's only fragment, then recovers.
+  netsim.channel(0).set_down(true);
+  engine.schedule_at(SimTime::millis(1),
+                     [&netsim] { netsim.channel(0).set_down(false); });
+  SimTime delivered;
+  netsim.send(ProcessorRef{0, 0}, ProcessorRef{0, 1}, 128,
+              [&] { delivered = engine.now(); });
+  engine.run();
 
+  const SimTime initiated = sim::NetSimParams{}.send_initiation;
   const std::vector<obs::SpanRecord> spans = reg.spans();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].name, "msg");
   EXPECT_TRUE(spans[0].sim_clock);
-  EXPECT_DOUBLE_EQ(spans[0].start_us, 101000.0);  // origin + 1ms
-  EXPECT_DOUBLE_EQ(spans[0].dur_us, 3000.0);
-  ASSERT_EQ(reg.instants().size(), 1u);
-  EXPECT_EQ(reg.instants()[0].name, "lost");
+  EXPECT_DOUBLE_EQ(spans[0].start_us,
+                   (SimTime::millis(100) + initiated).as_micros());
+  EXPECT_DOUBLE_EQ(spans[0].dur_us, (delivered - initiated).as_micros());
+  std::vector<std::string> instants;
+  for (const obs::InstantRecord& i : reg.instants()) {
+    instants.push_back(i.name);
+  }
+  EXPECT_EQ(instants, (std::vector<std::string>{"lost", "leg"}));
   EXPECT_EQ(reg.counter("sim.messages_delivered").value(), 1u);
   EXPECT_EQ(reg.counter("sim.bytes_delivered").value(), 128u);
   EXPECT_EQ(reg.counter("sim.fragments_lost").value(), 1u);
-}
-
-TEST(ObsSimBridgeTest, ToleratesOrphanDeliveriesFromBoundedLogs) {
-  sim::TraceLog log(/*capacity=*/1);
-  sim::Tracer tracer = log.tracer();
-  const ProcessorRef a{0, 0}, b{1, 0};
-  tracer({sim::TraceEvent::Kind::SendInitiated, SimTime::millis(1), a, b,
-          64});
-  tracer({sim::TraceEvent::Kind::Delivered, SimTime::millis(2), a, b, 64});
-  EXPECT_EQ(log.dropped_events(), 1u);
-  EXPECT_EQ(log.mean_latency(), SimTime::zero());  // orphan skipped
-
-  TelemetryRegistry reg;
-  obs::bridge_trace_log(log, reg);
-  EXPECT_EQ(reg.span_count(), 0u);  // no matched pair survives the ring
-  EXPECT_EQ(reg.counter("sim.trace_dropped_events").value(), 1u);
-  EXPECT_EQ(reg.counter("obs.trace.dropped").value(), 1u)
-      << "the loss rides the telemetry snapshot under its canonical name";
-}
-
-TEST(ObsSimBridgeTest, LossBridgesExportSimAndTraceDrops) {
-  sim::TraceLog log(/*capacity=*/1);
-  sim::Tracer tracer = log.tracer();
-  const ProcessorRef a{0, 0}, b{1, 0};
-  tracer({sim::TraceEvent::Kind::SendInitiated, SimTime::millis(1), a, b, 8});
-  tracer({sim::TraceEvent::Kind::Delivered, SimTime::millis(2), a, b, 8});
-  tracer({sim::TraceEvent::Kind::Delivered, SimTime::millis(3), a, b, 8});
-  ASSERT_EQ(log.dropped_events(), 2u);
-
-  TelemetryRegistry reg;
-  obs::bridge_trace_loss(log, reg);
-  EXPECT_EQ(reg.counter("obs.trace.dropped").value(), 2u);
-
-  const Network net = presets::paper_testbed();
-  sim::Engine engine;
-  sim::NetSim netsim(engine, net, sim::NetSimParams{}, Rng(1));
-  obs::bridge_net_loss(netsim, reg);
-  EXPECT_EQ(reg.counter("sim.messages_dropped").value(),
-            netsim.messages_dropped());
 }
 
 // ------------------------------------------------- deterministic export
