@@ -4,8 +4,8 @@
 #include <cmath>
 #include <utility>
 
+#include "apps/spmd.hpp"
 #include "mmps/coercion.hpp"
-#include "mmps/system.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -181,10 +181,7 @@ class GaussRunner {
               const PartitionVector& partition, const GaussConfig& config,
               std::uint64_t seed, const sim::NetSimParams& sim_params)
       : n_(config.n),
-        placement_(placement),
-        net_(engine_, network, sim_params, Rng(seed ^ 0x9a55)),
-        mmps_(net_),
-        flop_ms_(build_flop_ms(network, placement)) {
+        rt_(network, placement, sim_params, Rng(seed ^ 0x9a55)) {
     partition.validate(config.n);
     system_ = make_test_system(config.n, seed);
     const auto mapping = map_rows(partition, config.n, config.mapping);
@@ -204,33 +201,19 @@ class GaussRunner {
   }
 
   DistributedGaussResult run() {
-    for (GaussRank& gr : ranks_) {
-      engine_.schedule_at(SimTime::zero(),
-                          [this, &gr] { begin_step(gr); });
-    }
-    engine_.run();
+    const SpmdRuntime::Outcome outcome = rt_.run([this](int rank) {
+      begin_step(ranks_[static_cast<std::size_t>(rank)]);
+    });
     NP_ASSERT(static_cast<int>(pivots_.size()) == n_);
-    NP_ASSERT(mmps_.unclaimed() == 0);
 
     DistributedGaussResult result;
-    result.elapsed = finish_;
-    result.messages = net_.messages_delivered();
+    result.elapsed = outcome.elapsed;
+    result.messages = outcome.messages;
     result.x = back_substitute();
     return result;
   }
 
  private:
-  static std::vector<double> build_flop_ms(const Network& network,
-                                           const Placement& placement) {
-    std::vector<double> out;
-    out.reserve(placement.size());
-    for (const ProcessorRef& ref : placement) {
-      out.push_back(
-          network.cluster(ref.cluster).type().flop_time.as_millis());
-    }
-    return out;
-  }
-
   int active_rows(const GaussRank& gr) const {
     int count = 0;
     for (const OwnedRow& row : gr.rows) {
@@ -266,56 +249,51 @@ class GaussRunner {
 
   void begin_step(GaussRank& gr) {
     if (gr.step == n_) {
-      finish_ = std::max(finish_, engine_.now());
+      rt_.finish();
       return;
     }
     const int k = gr.step;
-    const ProcessorRef me = placement_[static_cast<std::size_t>(gr.rank)];
-
     // Local pivot selection: one comparison per active row.
-    const SimTime select_end =
-        net_.host(me).reserve(engine_.now(),
-                              SimTime::millis(flop_ms_[static_cast<std::size_t>(
-                                                  gr.rank)] *
-                                              active_rows(gr)));
-    engine_.schedule_at(select_end, [this, &gr, k, me] {
-      const std::vector<double> candidate = make_candidate(gr, k);
-      if (gr.rank == 0) {
-        gr.best_value = candidate[1];
-        gr.best_payload = candidate;
-        gr.candidates_needed = static_cast<int>(ranks_.size()) - 1;
-        if (gr.candidates_needed == 0) {
-          elect_and_broadcast(gr, k);
-        } else {
-          collect_candidates(gr, k);
-        }
+    rt_.compute(gr.rank, rt_.flop_ms(gr.rank) * active_rows(gr),
+                [this, &gr, k] { offer_candidate(gr, k); });
+  }
+
+  /// Send this rank's pivot candidate to the root (or, at the root, start
+  /// collecting the others).
+  void offer_candidate(GaussRank& gr, int k) {
+    const std::vector<double> candidate = make_candidate(gr, k);
+    if (gr.rank == 0) {
+      gr.best_value = candidate[1];
+      gr.best_payload = candidate;
+      gr.candidates_needed = rt_.ranks() - 1;
+      if (gr.candidates_needed == 0) {
+        elect_and_broadcast(gr, k);
       } else {
-        mmps_.send(me, placement_[0], k, mmps::encode_array(
-                                             std::span<const double>(
-                                                 candidate)));
-        // Wait for the elected pivot row from the root.
-        mmps_.recv(me, placement_[0], k, [this, &gr, k](mmps::Message msg) {
-          apply_pivot(gr, k, mmps::decode_array<double>(msg.payload));
-        });
+        collect_candidates(gr, k);
       }
-    });
+    } else {
+      rt_.send(gr.rank, 0, k,
+               mmps::encode_array(std::span<const double>(candidate)));
+      // Wait for the elected pivot row from the root.
+      rt_.recv(gr.rank, 0, k, [this, &gr, k](mmps::Message msg) {
+        apply_pivot(gr, k, mmps::decode_array<double>(msg.payload));
+      });
+    }
   }
 
   void collect_candidates(GaussRank& root, int k) {
-    for (std::size_t r = 1; r < ranks_.size(); ++r) {
-      mmps_.recv(placement_[0], placement_[r], k,
-                 [this, &root, k](mmps::Message msg) {
-                   const std::vector<double> candidate =
-                       mmps::decode_array<double>(msg.payload);
-                   if (candidate[0] >= 0.0 &&
-                       candidate[1] > root.best_value) {
-                     root.best_value = candidate[1];
-                     root.best_payload = candidate;
-                   }
-                   if (--root.candidates_needed == 0) {
-                     elect_and_broadcast(root, k);
-                   }
-                 });
+    for (int r = 1; r < rt_.ranks(); ++r) {
+      rt_.recv(0, r, k, [this, &root, k](mmps::Message msg) {
+        const std::vector<double> candidate =
+            mmps::decode_array<double>(msg.payload);
+        if (candidate[0] >= 0.0 && candidate[1] > root.best_value) {
+          root.best_value = candidate[1];
+          root.best_payload = candidate;
+        }
+        if (--root.candidates_needed == 0) {
+          elect_and_broadcast(root, k);
+        }
+      });
     }
   }
 
@@ -327,13 +305,11 @@ class GaussRunner {
     record.column = k;
     record.b = root.best_payload[2];
     record.a.assign(root.best_payload.begin() + 3, root.best_payload.end());
-    pivot_globals_.push_back(static_cast<int>(root.best_payload[0]));
     pivots_.push_back(std::move(record));
 
-    for (std::size_t r = 1; r < ranks_.size(); ++r) {
-      mmps_.send(placement_[0], placement_[r], k,
-                 mmps::encode_array(
-                     std::span<const double>(root.best_payload)));
+    for (int r = 1; r < rt_.ranks(); ++r) {
+      rt_.send(0, r, k,
+               mmps::encode_array(std::span<const double>(root.best_payload)));
     }
     apply_pivot(root, k, root.best_payload);
   }
@@ -362,13 +338,11 @@ class GaussRunner {
       row.b -= factor * pivot_b;
     }
 
-    const double ms = flop_ms_[static_cast<std::size_t>(gr.rank)] * 2.0 *
-                      static_cast<double>(n_ - k) * updated;
-    const ProcessorRef me = placement_[static_cast<std::size_t>(gr.rank)];
-    const SimTime end = net_.host(me).reserve(engine_.now(),
-                                              SimTime::millis(ms));
     ++gr.step;
-    engine_.schedule_at(end, [this, &gr] { begin_step(gr); });
+    rt_.compute(gr.rank,
+                rt_.flop_ms(gr.rank) * 2.0 * static_cast<double>(n_ - k) *
+                    updated,
+                [this, &gr] { begin_step(gr); });
   }
 
   std::vector<double> back_substitute() const {
@@ -386,16 +360,10 @@ class GaussRunner {
   }
 
   int n_;
-  const Placement& placement_;
-  sim::Engine engine_;
-  sim::NetSim net_;
-  mmps::System mmps_;
-  std::vector<double> flop_ms_;
+  SpmdRuntime rt_;
   LinearSystem system_;
   std::vector<GaussRank> ranks_;
-  std::vector<PivotRecord> pivots_;     ///< in elimination order (root)
-  std::vector<int> pivot_globals_;      ///< winning global rows
-  SimTime finish_;
+  std::vector<PivotRecord> pivots_;  ///< in elimination order (root)
 };
 
 }  // namespace
@@ -404,7 +372,6 @@ DistributedGaussResult run_distributed_gauss(
     const Network& network, const Placement& placement,
     const PartitionVector& partition, const GaussConfig& config,
     std::uint64_t seed, const sim::NetSimParams& sim_params) {
-  NP_REQUIRE(!placement.empty(), "placement must be non-empty");
   GaussRunner runner(network, placement, partition, config, seed,
                      sim_params);
   return runner.run();

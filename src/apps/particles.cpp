@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "apps/spmd.hpp"
 #include "mmps/coercion.hpp"
-#include "mmps/system.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -95,7 +95,6 @@ ParticleState run_sequential_particles(const ParticleConfig& config,
 namespace {
 
 struct ParticleRank {
-  int rank = 0;
   std::int64_t lo = 0;
   std::int64_t hi = 0;
   std::vector<double> pos;  ///< owned positions
@@ -104,9 +103,6 @@ struct ParticleRank {
   double ghost_left = 0.0;
   double ghost_right = 0.0;
   int iter = 0;
-  int ghosts_expected = 0;
-  int ghosts_arrived = 0;
-  bool waiting = false;
 };
 
 class ParticleRunner {
@@ -116,17 +112,13 @@ class ParticleRunner {
                  const ParticleConfig& config, std::uint64_t seed,
                  const sim::NetSimParams& sim_params)
       : config_(config),
-        placement_(placement),
-        net_(engine_, network, sim_params, Rng(seed ^ 0xBEEF)),
-        mmps_(net_),
-        flop_ms_(build_flop_ms(network, placement)) {
+        rt_(network, placement, sim_params, Rng(seed ^ 0xBEEF)) {
     partition.validate(config.count);
     const ParticleState init = make_initial_particles(config, seed);
     const auto ranges = partition.block_ranges();
     ranks_.resize(placement.size());
     for (std::size_t r = 0; r < ranks_.size(); ++r) {
       ParticleRank& pr = ranks_[r];
-      pr.rank = static_cast<int>(r);
       pr.lo = ranges[r].first;
       pr.hi = ranges[r].second;
       pr.pos.assign(init.position.begin() + pr.lo,
@@ -134,22 +126,16 @@ class ParticleRunner {
       pr.vel.assign(init.velocity.begin() + pr.lo,
                     init.velocity.begin() + pr.hi);
       pr.next_pos.resize(pr.pos.size());
-      pr.ghosts_expected =
-          (r > 0 ? 1 : 0) + (r + 1 < ranks_.size() ? 1 : 0);
     }
   }
 
   DistributedParticlesResult run() {
-    for (ParticleRank& pr : ranks_) {
-      engine_.schedule_at(SimTime::zero(),
-                          [this, &pr] { start_iteration(pr); });
-    }
-    engine_.run();
-    NP_ASSERT(mmps_.unclaimed() == 0);
+    const SpmdRuntime::Outcome outcome =
+        rt_.run([this](int rank) { start_iteration(rank); });
 
     DistributedParticlesResult result;
-    result.elapsed = finish_;
-    result.messages = net_.messages_delivered();
+    result.elapsed = outcome.elapsed;
+    result.messages = outcome.messages;
     result.state.position.resize(
         static_cast<std::size_t>(config_.count));
     result.state.velocity.resize(
@@ -164,65 +150,33 @@ class ParticleRunner {
   }
 
  private:
-  static std::vector<double> build_flop_ms(const Network& network,
-                                           const Placement& placement) {
-    std::vector<double> out;
-    out.reserve(placement.size());
-    for (const ProcessorRef& ref : placement) {
-      out.push_back(
-          network.cluster(ref.cluster).type().flop_time.as_millis());
-    }
-    return out;
-  }
-
-  void start_iteration(ParticleRank& pr) {
+  void start_iteration(int rank) {
+    ParticleRank& pr = ranks_[static_cast<std::size_t>(rank)];
     if (pr.iter == config_.iterations) {
-      finish_ = std::max(finish_, engine_.now());
+      rt_.finish();
       return;
     }
-    const ProcessorRef me = placement_[static_cast<std::size_t>(pr.rank)];
-
-    // Post ghost receives, then send our boundary positions.
-    const auto install = [this, &pr](bool from_left) {
-      return [this, &pr, from_left](mmps::Message msg) {
-        const std::vector<double> v = mmps::decode_array<double>(msg.payload);
-        NP_ASSERT(v.size() == 1);
-        (from_left ? pr.ghost_left : pr.ghost_right) = v[0];
-        ++pr.ghosts_arrived;
-        if (pr.waiting && pr.ghosts_arrived == pr.ghosts_expected) {
-          pr.waiting = false;
-          integrate(pr);
-        }
-      };
-    };
-    if (pr.rank > 0) {
-      mmps_.recv(me, placement_[static_cast<std::size_t>(pr.rank - 1)],
-                 pr.iter, install(/*from_left=*/true));
-      const double boundary[] = {pr.pos.front()};
-      mmps_.send(me, placement_[static_cast<std::size_t>(pr.rank - 1)],
-                 pr.iter,
-                 mmps::encode_array(std::span<const double>(boundary)));
-    }
-    if (pr.rank + 1 < static_cast<int>(ranks_.size())) {
-      mmps_.recv(me, placement_[static_cast<std::size_t>(pr.rank + 1)],
-                 pr.iter, install(/*from_left=*/false));
-      const double boundary[] = {pr.pos.back()};
-      mmps_.send(me, placement_[static_cast<std::size_t>(pr.rank + 1)],
-                 pr.iter,
-                 mmps::encode_array(std::span<const double>(boundary)));
-    }
-
-    const SimTime ready = net_.host(me).busy_until();
-    engine_.schedule_at(std::max(ready, engine_.now()), [this, &pr] {
-      if (pr.ghosts_arrived < pr.ghosts_expected) {
-        pr.waiting = true;
-        return;
-      }
-      integrate(pr);
+    // Trade boundary positions with the chain neighbours.
+    halo_.exchange(
+        rank, pr.iter,
+        [&pr, rank](int neighbour) {
+          const double boundary[] = {neighbour < rank ? pr.pos.front()
+                                                      : pr.pos.back()};
+          return mmps::encode_array(std::span<const double>(boundary));
+        },
+        [&pr, rank](int neighbour, mmps::Message msg) {
+          const std::vector<double> v =
+              mmps::decode_array<double>(msg.payload);
+          NP_ASSERT(v.size() == 1);
+          (neighbour < rank ? pr.ghost_left : pr.ghost_right) = v[0];
+        });
+    rt_.after_sends(rank, [this, rank] {
+      halo_.when_ghosts_in(rank, [this, rank] { integrate(rank); });
     });
   }
 
-  void integrate(ParticleRank& pr) {
+  void integrate(int rank) {
+    ParticleRank& pr = ranks_[static_cast<std::size_t>(rank)];
     const std::int64_t count = pr.hi - pr.lo;
     for (std::int64_t i = 0; i < count; ++i) {
       const std::int64_t g = pr.lo + i;
@@ -242,25 +196,16 @@ class ParticleRunner {
           pr.vel[static_cast<std::size_t>(i)] * config_.dt;
     }
     pr.pos.swap(pr.next_pos);
-
-    const double ms = flop_ms_[static_cast<std::size_t>(pr.rank)] * 9.0 *
-                      static_cast<double>(count);
-    const ProcessorRef me = placement_[static_cast<std::size_t>(pr.rank)];
-    const SimTime end =
-        net_.host(me).reserve(engine_.now(), SimTime::millis(ms));
     ++pr.iter;
-    pr.ghosts_arrived = 0;
-    engine_.schedule_at(end, [this, &pr] { start_iteration(pr); });
+    rt_.compute(rank,
+                rt_.flop_ms(rank) * 9.0 * static_cast<double>(count),
+                [this, rank] { start_iteration(rank); });
   }
 
   ParticleConfig config_;
-  const Placement& placement_;
-  sim::Engine engine_;
-  sim::NetSim net_;
-  mmps::System mmps_;
-  std::vector<double> flop_ms_;
+  SpmdRuntime rt_;
+  HaloExchange halo_{rt_};
   std::vector<ParticleRank> ranks_;
-  SimTime finish_;
 };
 
 }  // namespace
@@ -269,7 +214,6 @@ DistributedParticlesResult run_distributed_particles(
     const Network& network, const Placement& placement,
     const PartitionVector& partition, const ParticleConfig& config,
     std::uint64_t seed, const sim::NetSimParams& sim_params) {
-  NP_REQUIRE(!placement.empty(), "placement must be non-empty");
   ParticleRunner runner(network, placement, partition, config, seed,
                         sim_params);
   return runner.run();

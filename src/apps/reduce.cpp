@@ -1,9 +1,7 @@
 #include "apps/reduce.hpp"
 
-#include <memory>
-
+#include "apps/spmd.hpp"
 #include "mmps/coercion.hpp"
-#include "mmps/system.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -48,9 +46,9 @@ double sequential_sum(const std::vector<double>& values) {
 namespace {
 
 struct ReduceRank {
-  int rank = 0;
-  double local = 0.0;     ///< local block sum (computed once per iteration)
-  double combined = 0.0;  ///< local + children partials
+  std::int64_t count = 0;  ///< owned values
+  double local = 0.0;      ///< local block sum (computed once per iteration)
+  double combined = 0.0;   ///< local + children partials
   int children_expected = 0;
   int children_arrived = 0;
   int iter = 0;
@@ -62,126 +60,91 @@ class ReduceRunner {
   ReduceRunner(const Network& network, const Placement& placement,
                const PartitionVector& partition, const ReduceConfig& config,
                std::uint64_t seed, const sim::NetSimParams& sim_params)
-      : config_(config),
-        placement_(placement),
-        net_(engine_, network, sim_params, Rng(seed ^ 0x7EE5)),
-        mmps_(net_),
-        flop_ms_(build_flop_ms(network, placement)) {
+      : iterations_(config.iterations),
+        rt_(network, placement, sim_params, Rng(seed ^ 0x7EE5)) {
     partition.validate(config.count);
     const std::vector<double> input =
         make_reduce_input(config.count, seed);
     const auto ranges = partition.block_ranges();
-    const int p = static_cast<int>(placement.size());
+    const int p = rt_.ranks();
     ranks_.resize(placement.size());
-    for (std::size_t r = 0; r < ranks_.size(); ++r) {
-      ReduceRank& rr = ranks_[r];
-      rr.rank = static_cast<int>(r);
+    for (int r = 0; r < p; ++r) {
+      ReduceRank& rr = ranks_[static_cast<std::size_t>(r)];
+      const auto [lo, hi] = ranges[static_cast<std::size_t>(r)];
       double sum = 0.0;
-      for (std::int64_t i = ranges[r].first; i < ranges[r].second; ++i) {
+      for (std::int64_t i = lo; i < hi; ++i) {
         sum += input[static_cast<std::size_t>(i)];
       }
+      rr.count = hi - lo;
       rr.local = sum;
-      const int left = 2 * rr.rank + 1;
-      const int right = 2 * rr.rank + 2;
-      rr.children_expected = (left < p ? 1 : 0) + (right < p ? 1 : 0);
+      rr.children_expected =
+          (2 * r + 1 < p ? 1 : 0) + (2 * r + 2 < p ? 1 : 0);
     }
-    blocks_ = ranges;
   }
 
   DistributedReduceResult run() {
-    for (ReduceRank& rr : ranks_) {
-      engine_.schedule_at(SimTime::zero(),
-                          [this, &rr] { start_iteration(rr); });
-    }
-    engine_.run();
-    NP_ASSERT(mmps_.unclaimed() == 0);
+    const SpmdRuntime::Outcome outcome =
+        rt_.run([this](int rank) { start_iteration(rank); });
     DistributedReduceResult result;
     result.value = root_value_;
-    result.elapsed = finish_;
-    result.messages = net_.messages_delivered();
+    result.elapsed = outcome.elapsed;
+    result.messages = outcome.messages;
     return result;
   }
 
  private:
-  static std::vector<double> build_flop_ms(const Network& network,
-                                           const Placement& placement) {
-    std::vector<double> out;
-    out.reserve(placement.size());
-    for (const ProcessorRef& ref : placement) {
-      out.push_back(
-          network.cluster(ref.cluster).type().flop_time.as_millis());
-    }
-    return out;
-  }
-
-  void start_iteration(ReduceRank& rr) {
-    if (rr.iter == config_.iterations) {
-      finish_ = std::max(finish_, engine_.now());
+  void start_iteration(int rank) {
+    ReduceRank& rr = ranks_[static_cast<std::size_t>(rank)];
+    if (rr.iter == iterations_) {
+      rt_.finish();
       return;
     }
-    // Local block sum: one add per owned value.
-    const std::int64_t count =
-        blocks_[static_cast<std::size_t>(rr.rank)].second -
-        blocks_[static_cast<std::size_t>(rr.rank)].first;
-    const ProcessorRef me = placement_[static_cast<std::size_t>(rr.rank)];
-    const SimTime end = net_.host(me).reserve(
-        engine_.now(),
-        SimTime::millis(flop_ms_[static_cast<std::size_t>(rr.rank)] *
-                        static_cast<double>(count)));
     rr.combined = rr.local;
     rr.children_arrived = 0;
     rr.local_done = false;
 
-    // Children partials may arrive at any time; post the receives now.
-    const int p = static_cast<int>(ranks_.size());
-    for (const int child : {2 * rr.rank + 1, 2 * rr.rank + 2}) {
-      if (child >= p) continue;
-      mmps_.recv(me, placement_[static_cast<std::size_t>(child)], rr.iter,
-                 [this, &rr](mmps::Message msg) {
-                   const auto v = mmps::decode_array<double>(msg.payload);
-                   NP_ASSERT(v.size() == 1);
-                   rr.combined += v[0];
-                   ++rr.children_arrived;
-                   maybe_forward(rr);
-                 });
+    // Children partials may arrive at any time (they are summed in arrival
+    // order); post the receives now.
+    for (const int child : {2 * rank + 1, 2 * rank + 2}) {
+      if (child >= rt_.ranks()) continue;
+      rt_.recv(rank, child, rr.iter, [this, &rr, rank](mmps::Message msg) {
+        const auto v = mmps::decode_array<double>(msg.payload);
+        NP_ASSERT(v.size() == 1);
+        rr.combined += v[0];
+        ++rr.children_arrived;
+        maybe_forward(rank);
+      });
     }
-    engine_.schedule_at(end, [this, &rr] {
-      rr.local_done = true;
-      maybe_forward(rr);
-    });
+    // Local block sum: one add per owned value.
+    rt_.compute(rank, rt_.flop_ms(rank) * static_cast<double>(rr.count),
+                [this, &rr, rank] {
+                  rr.local_done = true;
+                  maybe_forward(rank);
+                });
   }
 
   /// Once the local sum and all children partials are in, forward up the
   /// tree (or record the result at the root) and begin the next iteration.
-  void maybe_forward(ReduceRank& rr) {
+  void maybe_forward(int rank) {
+    ReduceRank& rr = ranks_[static_cast<std::size_t>(rank)];
     if (!rr.local_done || rr.children_arrived != rr.children_expected) {
       return;
     }
-    const ProcessorRef me = placement_[static_cast<std::size_t>(rr.rank)];
-    if (rr.rank == 0) {
+    if (rank == 0) {
       root_value_ = rr.combined;
     } else {
-      const int parent = (rr.rank - 1) / 2;
       const double payload[] = {rr.combined};
-      mmps_.send(me, placement_[static_cast<std::size_t>(parent)], rr.iter,
-                 mmps::encode_array(std::span<const double>(payload)));
+      rt_.send(rank, (rank - 1) / 2, rr.iter,
+               mmps::encode_array(std::span<const double>(payload)));
     }
     ++rr.iter;
-    const SimTime ready = net_.host(me).busy_until();
-    engine_.schedule_at(std::max(ready, engine_.now()),
-                        [this, &rr] { start_iteration(rr); });
+    rt_.after_sends(rank, [this, rank] { start_iteration(rank); });
   }
 
-  ReduceConfig config_;
-  const Placement& placement_;
-  sim::Engine engine_;
-  sim::NetSim net_;
-  mmps::System mmps_;
-  std::vector<double> flop_ms_;
+  int iterations_;
+  SpmdRuntime rt_;
   std::vector<ReduceRank> ranks_;
-  std::vector<std::pair<std::int64_t, std::int64_t>> blocks_;
   double root_value_ = 0.0;
-  SimTime finish_;
 };
 
 }  // namespace
@@ -190,7 +153,6 @@ DistributedReduceResult run_distributed_reduce(
     const Network& network, const Placement& placement,
     const PartitionVector& partition, const ReduceConfig& config,
     std::uint64_t seed, const sim::NetSimParams& sim_params) {
-  NP_REQUIRE(!placement.empty(), "placement must be non-empty");
   ReduceRunner runner(network, placement, partition, config, seed,
                       sim_params);
   return runner.run();

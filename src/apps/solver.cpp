@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "apps/spmd.hpp"
 #include "apps/stencil.hpp"
 #include "mmps/coercion.hpp"
-#include "mmps/system.hpp"
 #include "util/error.hpp"
 
 namespace netpart::apps {
@@ -39,19 +39,19 @@ ComputationSpec make_solver_spec(const SolverConfig& config) {
 
 namespace {
 
-/// One Jacobi sweep over rows [glo, ghi) of an (rows+2) x n local buffer
-/// (ghosts at local rows 0 and rows+1); returns the residual contribution.
-/// `lo` is the first owned global row.  Boundary rows/columns are fixed.
-double sweep_rows(const std::vector<float>& cur, std::vector<float>& next,
-                  int n, int lo, int glo, int ghi) {
+/// One Jacobi sweep over global rows [glo, ghi) of `block`, from `cur`
+/// into `next`; returns the residual contribution.  Boundary rows/columns
+/// are fixed.
+double sweep_rows(RowBlock& block, int glo, int ghi) {
+  const int n = block.n;
   double residual = 0.0;
   for (int row = glo; row < ghi; ++row) {
     if (row == 0 || row == n - 1) continue;
-    const int lr = row - lo + 1;
-    const float* above = cur.data() + static_cast<std::ptrdiff_t>(lr - 1) * n;
-    const float* here = cur.data() + static_cast<std::ptrdiff_t>(lr) * n;
-    const float* below = cur.data() + static_cast<std::ptrdiff_t>(lr + 1) * n;
-    float* out = next.data() + static_cast<std::ptrdiff_t>(lr) * n;
+    const int lr = row - block.lo + 1;
+    const float* above = block.row(block.cur, lr - 1);
+    const float* here = block.row(block.cur, lr);
+    const float* below = block.row(block.cur, lr + 1);
+    float* out = block.row(block.next, lr);
     out[0] = here[0];
     out[n - 1] = here[n - 1];
     for (int j = 1; j < n - 1; ++j) {
@@ -71,40 +71,24 @@ std::vector<double> run_sequential_solver(const SolverConfig& config,
                                           std::vector<float>& grid) {
   const int n = config.n;
   grid = make_initial_grid(n);
-  // Wrap the full grid with ghost rows so sweep_rows can be shared with
-  // the distributed path (ghosts stay zero and are never read: rows 0 and
-  // n-1 are fixed boundary).
-  std::vector<float> cur(static_cast<std::size_t>(n + 2) * n, 0.0f);
-  std::copy(grid.begin(), grid.end(), cur.begin() + n);
-  std::vector<float> next = cur;
+  // The whole grid as one ghost-row block, so sweep_rows is shared with the
+  // distributed path (ghosts stay zero and are never read: rows 0 and n-1
+  // are fixed boundary).
+  RowBlock block(grid, n, 0, n);
   std::vector<double> residuals;
   for (int it = 0; it < config.iterations; ++it) {
-    const double r = sweep_rows(cur, next, n, /*lo=*/0, 0, n);
-    // Boundary rows carry over.
-    std::copy_n(cur.begin() + n, n, next.begin() + n);
-    std::copy_n(cur.begin() + static_cast<std::ptrdiff_t>(n) * n, n,
-                next.begin() + static_cast<std::ptrdiff_t>(n) * n);
-    cur.swap(next);
-    residuals.push_back(r);
+    residuals.push_back(sweep_rows(block, 0, n));
+    block.advance();
   }
-  std::copy_n(cur.begin() + n, static_cast<std::ptrdiff_t>(n) * n,
-              grid.begin());
+  block.gather(grid);
   return residuals;
 }
 
 namespace {
 
+/// Per-rank norm-reduction state (the grid lives in the rank's RowBlock).
 struct SolverRank {
-  int rank = 0;
-  int lo = 0;
-  int hi = 0;
-  std::vector<float> cur;
-  std::vector<float> next;
   int iter = 0;
-  int ghosts_expected = 0;
-  int ghosts_arrived = 0;
-  bool waiting_ghosts = false;
-  // Norm reduction state.
   double own_residual = 0.0;
   double child_partial[2] = {0.0, 0.0};
   bool child_seen[2] = {false, false};
@@ -120,167 +104,87 @@ class SolverRunner {
                const sim::NetSimParams& sim_params)
       : n_(config.n),
         iterations_(config.iterations),
-        placement_(placement),
-        net_(engine_, network, sim_params, Rng(23)),
-        mmps_(net_),
-        flop_ms_([&] {
-          std::vector<double> out;
-          for (const ProcessorRef& ref : placement) {
-            out.push_back(
-                network.cluster(ref.cluster).type().flop_time.as_millis());
-          }
-          return out;
-        }()) {
+        rt_(network, placement, sim_params, Rng(23)) {
     partition.validate(config.n);
     const std::vector<float> init = make_initial_grid(n_);
-    const auto ranges = partition.block_ranges();
-    const int p = static_cast<int>(placement.size());
+    const int p = rt_.ranks();
+    for (const auto& [lo, hi] : partition.block_ranges()) {
+      blocks_.emplace_back(init, n_, static_cast<int>(lo),
+                           static_cast<int>(hi));
+    }
     ranks_.resize(placement.size());
-    for (std::size_t r = 0; r < ranks_.size(); ++r) {
-      SolverRank& sr = ranks_[r];
-      sr.rank = static_cast<int>(r);
-      sr.lo = static_cast<int>(ranges[r].first);
-      sr.hi = static_cast<int>(ranges[r].second);
-      const int rows = sr.hi - sr.lo;
-      sr.cur.assign(static_cast<std::size_t>(rows + 2) * n_, 0.0f);
-      for (int row = sr.lo; row < sr.hi; ++row) {
-        std::copy_n(init.begin() + static_cast<std::ptrdiff_t>(row) * n_,
-                    n_,
-                    sr.cur.begin() +
-                        static_cast<std::ptrdiff_t>(row - sr.lo + 1) * n_);
-      }
-      sr.next = sr.cur;
-      sr.ghosts_expected =
-          (r > 0 ? 1 : 0) + (r + 1 < ranks_.size() ? 1 : 0);
-      sr.children_expected = (2 * sr.rank + 1 < p ? 1 : 0) +
-                             (2 * sr.rank + 2 < p ? 1 : 0);
+    for (int r = 0; r < p; ++r) {
+      ranks_[static_cast<std::size_t>(r)].children_expected =
+          (2 * r + 1 < p ? 1 : 0) + (2 * r + 2 < p ? 1 : 0);
     }
     residuals_.reserve(static_cast<std::size_t>(iterations_));
   }
 
   DistributedSolverResult run() {
-    for (SolverRank& sr : ranks_) {
-      engine_.schedule_at(SimTime::zero(),
-                          [this, &sr] { start_iteration(sr); });
-    }
-    engine_.run();
-    NP_ASSERT(mmps_.unclaimed() == 0);
+    const SpmdRuntime::Outcome outcome =
+        rt_.run([this](int rank) { start_iteration(rank); });
     DistributedSolverResult result;
-    result.elapsed = finish_;
-    result.messages = net_.messages_delivered();
+    result.elapsed = outcome.elapsed;
+    result.messages = outcome.messages;
     result.residuals = residuals_;
     result.grid.assign(static_cast<std::size_t>(n_) * n_, 0.0f);
-    for (const SolverRank& sr : ranks_) {
-      for (int row = sr.lo; row < sr.hi; ++row) {
-        std::copy_n(sr.cur.begin() +
-                        static_cast<std::ptrdiff_t>(row - sr.lo + 1) * n_,
-                    n_,
-                    result.grid.begin() +
-                        static_cast<std::ptrdiff_t>(row) * n_);
-      }
+    for (const RowBlock& block : blocks_) {
+      block.gather(result.grid);
     }
     return result;
   }
 
  private:
-  float* row_ptr(std::vector<float>& buf, int local_row) {
-    return buf.data() + static_cast<std::ptrdiff_t>(local_row) * n_;
-  }
-
-  void start_iteration(SolverRank& sr) {
+  void start_iteration(int rank) {
+    SolverRank& sr = ranks_[static_cast<std::size_t>(rank)];
     if (sr.iter == iterations_) {
-      finish_ = std::max(finish_, engine_.now());
+      rt_.finish();
       return;
     }
-    sr.ghosts_arrived = 0;
     sr.children_arrived = 0;
     sr.child_seen[0] = sr.child_seen[1] = false;
     sr.sweep_done = false;
 
-    const ProcessorRef me = placement_[static_cast<std::size_t>(sr.rank)];
-    const int rows = sr.hi - sr.lo;
-    const int p = static_cast<int>(ranks_.size());
-
     // Norm-phase receives from tree children can arrive any time after
     // the children finish their sweeps; install handlers up front.
     for (int side = 0; side < 2; ++side) {
-      const int child = 2 * sr.rank + 1 + side;
-      if (child >= p) continue;
-      mmps_.recv(me, placement_[static_cast<std::size_t>(child)],
-                 norm_tag(sr.iter), [this, &sr, side](mmps::Message msg) {
-                   const auto v = mmps::decode_array<double>(msg.payload);
-                   NP_ASSERT(v.size() == 1);
-                   sr.child_partial[side] = v[0];
-                   sr.child_seen[side] = true;
-                   ++sr.children_arrived;
-                   maybe_reduce(sr);
-                 });
+      const int child = 2 * rank + 1 + side;
+      if (child >= rt_.ranks()) continue;
+      rt_.recv(rank, child, norm_tag(sr.iter),
+               [this, &sr, rank, side](mmps::Message msg) {
+                 const auto v = mmps::decode_array<double>(msg.payload);
+                 NP_ASSERT(v.size() == 1);
+                 sr.child_partial[side] = v[0];
+                 sr.child_seen[side] = true;
+                 ++sr.children_arrived;
+                 maybe_reduce(rank);
+               });
     }
 
     // Halo exchange (tag parity distinguishes the phases).
-    const auto install_ghost = [this, &sr](int local_row) {
-      return [this, &sr, local_row](mmps::Message msg) {
-        const std::vector<float> row = mmps::decode_array<float>(msg.payload);
-        NP_ASSERT(static_cast<int>(row.size()) == n_);
-        std::copy(row.begin(), row.end(), row_ptr(sr.cur, local_row));
-        ++sr.ghosts_arrived;
-        if (sr.waiting_ghosts &&
-            sr.ghosts_arrived == sr.ghosts_expected) {
-          sr.waiting_ghosts = false;
-          do_sweep(sr);
-        }
-      };
-    };
-    if (sr.rank > 0) {
-      mmps_.recv(me, placement_[static_cast<std::size_t>(sr.rank - 1)],
-                 border_tag(sr.iter), install_ghost(0));
-      const std::span<const float> row(row_ptr(sr.cur, 1), n_);
-      mmps_.send(me, placement_[static_cast<std::size_t>(sr.rank - 1)],
-                 border_tag(sr.iter), mmps::encode_array(row));
-    }
-    if (sr.rank + 1 < p) {
-      mmps_.recv(me, placement_[static_cast<std::size_t>(sr.rank + 1)],
-                 border_tag(sr.iter), install_ghost(rows + 1));
-      const std::span<const float> row(row_ptr(sr.cur, rows), n_);
-      mmps_.send(me, placement_[static_cast<std::size_t>(sr.rank + 1)],
-                 border_tag(sr.iter), mmps::encode_array(row));
-    }
-
-    const SimTime ready = net_.host(me).busy_until();
-    engine_.schedule_at(std::max(ready, engine_.now()), [this, &sr] {
-      if (sr.ghosts_arrived < sr.ghosts_expected) {
-        sr.waiting_ghosts = true;
-        return;
-      }
-      do_sweep(sr);
+    halo_.exchange_rows(rank, border_tag(sr.iter),
+                        blocks_[static_cast<std::size_t>(rank)]);
+    rt_.after_sends(rank, [this, rank] {
+      halo_.when_ghosts_in(rank, [this, rank] { do_sweep(rank); });
     });
   }
 
-  void do_sweep(SolverRank& sr) {
-    const int rows = sr.hi - sr.lo;
-    sr.own_residual = sweep_rows(sr.cur, sr.next, n_, sr.lo, sr.lo, sr.hi);
-    if (sr.lo == 0) {
-      std::copy_n(row_ptr(sr.cur, 1), n_, row_ptr(sr.next, 1));
-    }
-    if (sr.hi == n_) {
-      std::copy_n(row_ptr(sr.cur, rows), n_, row_ptr(sr.next, rows));
-    }
-    sr.cur.swap(sr.next);
-
-    const ProcessorRef me = placement_[static_cast<std::size_t>(sr.rank)];
-    const double ms = flop_ms_[static_cast<std::size_t>(sr.rank)] * 6.0 *
-                      n_ * rows;
-    const SimTime end =
-        net_.host(me).reserve(engine_.now(), SimTime::millis(ms));
-    engine_.schedule_at(end, [this, &sr] {
-      sr.sweep_done = true;
-      maybe_reduce(sr);
-    });
+  void do_sweep(int rank) {
+    SolverRank& sr = ranks_[static_cast<std::size_t>(rank)];
+    RowBlock& b = blocks_[static_cast<std::size_t>(rank)];
+    sr.own_residual = sweep_rows(b, b.lo, b.hi);
+    b.advance();
+    rt_.compute(rank, rt_.flop_ms(rank) * 6.0 * n_ * b.rows(),
+                [this, &sr, rank] {
+                  sr.sweep_done = true;
+                  maybe_reduce(rank);
+                });
   }
 
   /// Combine own residual with children partials (fixed left-then-right
   /// order for determinism) and forward up the tree.
-  void maybe_reduce(SolverRank& sr) {
+  void maybe_reduce(int rank) {
+    SolverRank& sr = ranks_[static_cast<std::size_t>(rank)];
     if (!sr.sweep_done || sr.children_arrived != sr.children_expected) {
       return;
     }
@@ -288,20 +192,15 @@ class SolverRunner {
     if (sr.child_seen[0]) combined += sr.child_partial[0];
     if (sr.child_seen[1]) combined += sr.child_partial[1];
 
-    const ProcessorRef me = placement_[static_cast<std::size_t>(sr.rank)];
-    if (sr.rank == 0) {
+    if (rank == 0) {
       residuals_.push_back(combined);
     } else {
-      const int parent = (sr.rank - 1) / 2;
       const double payload[] = {combined};
-      mmps_.send(me, placement_[static_cast<std::size_t>(parent)],
-                 norm_tag(sr.iter),
-                 mmps::encode_array(std::span<const double>(payload)));
+      rt_.send(rank, (rank - 1) / 2, norm_tag(sr.iter),
+               mmps::encode_array(std::span<const double>(payload)));
     }
     ++sr.iter;
-    const SimTime ready = net_.host(me).busy_until();
-    engine_.schedule_at(std::max(ready, engine_.now()),
-                        [this, &sr] { start_iteration(sr); });
+    rt_.after_sends(rank, [this, rank] { start_iteration(rank); });
   }
 
   static std::int32_t border_tag(int iter) { return 2 * iter; }
@@ -309,14 +208,11 @@ class SolverRunner {
 
   int n_;
   int iterations_;
-  const Placement& placement_;
-  sim::Engine engine_;
-  sim::NetSim net_;
-  mmps::System mmps_;
-  std::vector<double> flop_ms_;
+  SpmdRuntime rt_;
+  HaloExchange halo_{rt_};
+  std::vector<RowBlock> blocks_;
   std::vector<SolverRank> ranks_;
   std::vector<double> residuals_;
-  SimTime finish_;
 };
 
 }  // namespace
@@ -325,7 +221,6 @@ DistributedSolverResult run_distributed_solver(
     const Network& network, const Placement& placement,
     const PartitionVector& partition, const SolverConfig& config,
     const sim::NetSimParams& sim_params) {
-  NP_REQUIRE(!placement.empty(), "placement must be non-empty");
   SolverRunner runner(network, placement, partition, config, sim_params);
   return runner.run();
 }

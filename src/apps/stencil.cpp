@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 
+#include "apps/spmd.hpp"
 #include "exec/threaded.hpp"
 #include "mmps/coercion.hpp"
-#include "mmps/system.hpp"
-#include "sim/faults.hpp"
 #include "util/error.hpp"
 
 namespace netpart::apps {
@@ -106,21 +103,6 @@ std::vector<float> run_sequential(const StencilConfig& config) {
 
 namespace {
 
-/// Per-rank state of the distributed stencil.  Row storage includes a ghost
-/// row above and below the owned block: local row r maps to global row
-/// lo + r - 1.
-struct RankState {
-  int rank = 0;
-  int lo = 0;  ///< first owned global row
-  int hi = 0;  ///< one past last owned global row
-  std::vector<float> cur;   ///< (rows + 2) x n, ghosts at local 0 and rows+1
-  std::vector<float> next;
-  int iter = 0;
-  int ghosts_expected = 0;
-  int ghosts_arrived = 0;
-  bool waiting = false;
-};
-
 class StencilRunner {
  public:
   StencilRunner(const Network& network, const Placement& placement,
@@ -131,231 +113,110 @@ class StencilRunner {
       : n_(config.n),
         iterations_(config.iterations),
         overlap_(config.overlap),
-        placement_(placement),
-        net_(engine_, network, sim_params, Rng(11)),
-        mmps_(net_),
-        flop_ms_(build_flop_ms(network, placement)) {
-    if (faults != nullptr && !faults->empty()) {
-      injector_.emplace(net_, *faults, fault_origin);
-    }
+        rt_(network, placement, sim_params, Rng(11), faults, fault_origin) {
     partition.validate(config.n);
     const std::vector<float> init = make_initial_grid(n_);
-    const auto ranges = partition.block_ranges();
-    ranks_.resize(placement.size());
-    for (std::size_t r = 0; r < ranks_.size(); ++r) {
-      RankState& rs = ranks_[r];
-      rs.rank = static_cast<int>(r);
-      rs.lo = static_cast<int>(ranges[r].first);
-      rs.hi = static_cast<int>(ranges[r].second);
-      const int rows = rs.hi - rs.lo;
-      rs.cur.assign(static_cast<std::size_t>(rows + 2) * n_, 0.0f);
-      rs.next = rs.cur;
-      for (int row = rs.lo; row < rs.hi; ++row) {
-        std::copy_n(init.begin() + static_cast<std::ptrdiff_t>(row) * n_, n_,
-                    rs.cur.begin() +
-                        static_cast<std::ptrdiff_t>(row - rs.lo + 1) * n_);
-      }
-      rs.ghosts_expected = (r > 0 ? 1 : 0) +
-                           (r + 1 < ranks_.size() ? 1 : 0);
+    for (const auto& [lo, hi] : partition.block_ranges()) {
+      blocks_.emplace_back(init, n_, static_cast<int>(lo),
+                           static_cast<int>(hi));
     }
+    iter_.assign(blocks_.size(), 0);
   }
 
   DistributedStencilResult run() {
-    if (injector_.has_value()) {
-      injector_->arm();
-    }
-    for (RankState& rs : ranks_) {
-      engine_.schedule_at(SimTime::zero(),
-                          [this, &rs] { start_iteration(rs); });
-    }
-    engine_.run();
-    NP_ASSERT(mmps_.unclaimed() == 0);
-    for (const RankState& rs : ranks_) {
-      NP_ASSERT(rs.iter == iterations_);
-    }
-
+    const SpmdRuntime::Outcome outcome =
+        rt_.run([this](int rank) { start_iteration(rank); });
     DistributedStencilResult result;
-    result.elapsed = finish_;
-    result.messages = net_.messages_delivered();
+    result.elapsed = outcome.elapsed;
+    result.messages = outcome.messages;
     result.grid.assign(static_cast<std::size_t>(n_) * n_, 0.0f);
-    for (const RankState& rs : ranks_) {
-      for (int row = rs.lo; row < rs.hi; ++row) {
-        std::copy_n(rs.cur.begin() +
-                        static_cast<std::ptrdiff_t>(row - rs.lo + 1) * n_,
-                    n_,
-                    result.grid.begin() +
-                        static_cast<std::ptrdiff_t>(row) * n_);
-      }
+    for (const RowBlock& b : blocks_) {
+      b.gather(result.grid);
     }
     return result;
   }
 
  private:
-  static std::vector<double> build_flop_ms(const Network& network,
-                                           const Placement& placement) {
-    std::vector<double> out;
-    out.reserve(placement.size());
-    for (const ProcessorRef& ref : placement) {
-      out.push_back(network.cluster(ref.cluster).type().flop_time.as_millis());
-    }
-    return out;
+  RowBlock& block(int rank) {
+    return blocks_[static_cast<std::size_t>(rank)];
   }
 
-  float* row_ptr(std::vector<float>& buf, int local_row) {
-    return buf.data() + static_cast<std::ptrdiff_t>(local_row) * n_;
-  }
-
-  void start_iteration(RankState& rs) {
-    if (rs.iter == iterations_) {
-      finish_ = std::max(finish_, engine_.now());
+  void start_iteration(int rank) {
+    const int iter = iter_[static_cast<std::size_t>(rank)];
+    if (iter == iterations_) {
+      rt_.finish();
       return;
     }
-    post_recvs(rs);
-    send_borders(rs);
-    // Resume once the host finishes initiating the sends.
-    const SimTime ready =
-        net_.host(placement_[static_cast<std::size_t>(rs.rank)])
-            .busy_until();
-    engine_.schedule_at(std::max(ready, engine_.now()), [this, &rs] {
+    RowBlock& b = block(rank);
+    halo_.exchange_rows(rank, iter, b);
+    const int lo = b.lo;
+    const int hi = b.hi;
+    rt_.after_sends(rank, [this, rank, lo, hi] {
       if (overlap_) {
-        compute_then_wait(rs);
+        // STEN-2: relax the rows that need no ghosts while the borders
+        // are in flight, then the first and last owned rows once the
+        // ghosts arrive.
+        compute_rows(rank, lo + 1, hi - 1, [this, rank, lo, hi] {
+          halo_.when_ghosts_in(rank, [this, rank, lo, hi] {
+            compute_border_rows(rank, lo, hi);
+          });
+        });
       } else {
-        wait_then_compute(rs);
+        // STEN-1: block for the ghosts, then relax the whole block.
+        halo_.when_ghosts_in(rank, [this, rank, lo, hi] {
+          compute_rows(rank, lo, hi,
+                       [this, rank] { finish_iteration(rank); });
+        });
       }
     });
   }
 
-  void send_borders(RankState& rs) {
-    const ProcessorRef me = placement_[static_cast<std::size_t>(rs.rank)];
-    const int rows = rs.hi - rs.lo;
-    if (rs.rank > 0) {
-      const std::span<const float> row(row_ptr(rs.cur, 1), n_);
-      mmps_.send(me, placement_[static_cast<std::size_t>(rs.rank - 1)],
-                 rs.iter, mmps::encode_array(row));
-    }
-    if (rs.rank + 1 < static_cast<int>(ranks_.size())) {
-      const std::span<const float> row(row_ptr(rs.cur, rows), n_);
-      mmps_.send(me, placement_[static_cast<std::size_t>(rs.rank + 1)],
-                 rs.iter, mmps::encode_array(row));
-    }
-  }
-
-  void post_recvs(RankState& rs) {
-    const ProcessorRef me = placement_[static_cast<std::size_t>(rs.rank)];
-    const int rows = rs.hi - rs.lo;
-    const auto install = [this, &rs](int local_row) {
-      return [this, &rs, local_row](mmps::Message msg) {
-        const std::vector<float> row = mmps::decode_array<float>(msg.payload);
-        NP_ASSERT(static_cast<int>(row.size()) == n_);
-        std::copy(row.begin(), row.end(), row_ptr(rs.cur, local_row));
-        ++rs.ghosts_arrived;
-        if (rs.waiting && rs.ghosts_arrived == rs.ghosts_expected) {
-          rs.waiting = false;
-          compute_border_rows(rs);
-        }
-      };
-    };
-    if (rs.rank > 0) {
-      mmps_.recv(me, placement_[static_cast<std::size_t>(rs.rank - 1)],
-                 rs.iter, install(0));
-    }
-    if (rs.rank + 1 < static_cast<int>(ranks_.size())) {
-      mmps_.recv(me, placement_[static_cast<std::size_t>(rs.rank + 1)],
-                 rs.iter, install(rows + 1));
-    }
-  }
-
-  /// STEN-1: block for ghosts, then compute the whole owned block.
-  void wait_then_compute(RankState& rs) {
-    if (rs.ghosts_arrived < rs.ghosts_expected) {
-      rs.waiting = true;
-      return;
-    }
-    compute_rows(rs, rs.lo, rs.hi, [this, &rs] { finish_iteration(rs); });
-  }
-
-  /// STEN-2: compute rows that need no ghosts while borders are in flight,
-  /// then the two border rows once the ghosts arrive.
-  void compute_then_wait(RankState& rs) {
-    const int interior_lo = rs.lo + 1;
-    const int interior_hi = rs.hi - 1;
-    compute_rows(rs, interior_lo, interior_hi, [this, &rs] {
-      if (rs.ghosts_arrived < rs.ghosts_expected) {
-        rs.waiting = true;
-        return;
-      }
-      compute_border_rows(rs);
+  /// STEN-2, interior done and ghosts in: the first and last owned rows.
+  void compute_border_rows(int rank, int lo, int hi) {
+    compute_rows(rank, lo, std::min(lo + 1, hi), [this, rank, lo, hi] {
+      compute_rows(rank, std::max(hi - 1, lo + 1), hi,
+                   [this, rank] { finish_iteration(rank); });
     });
-  }
-
-  void compute_border_rows(RankState& rs) {
-    if (overlap_) {
-      // The interior is done; finish the first and last owned rows.
-      compute_rows(rs, rs.lo, std::min(rs.lo + 1, rs.hi),
-                   [this, &rs] {
-                     compute_rows(rs, std::max(rs.hi - 1, rs.lo + 1), rs.hi,
-                                  [this, &rs] { finish_iteration(rs); });
-                   });
-    } else {
-      compute_rows(rs, rs.lo, rs.hi, [this, &rs] { finish_iteration(rs); });
-    }
   }
 
   /// Relax owned global rows [glo, ghi) into `next`, charging host time at
   /// 5 flops per point, then invoke the continuation.
-  void compute_rows(RankState& rs, int glo, int ghi,
-                    std::function<void()> done) {
-    glo = std::max(glo, rs.lo);
-    ghi = std::min(ghi, rs.hi);
+  void compute_rows(int rank, int glo, int ghi, SpmdRuntime::Step done) {
+    RowBlock& b = block(rank);
+    glo = std::max(glo, b.lo);
+    ghi = std::min(ghi, b.hi);
     int updated = 0;
     for (int row = glo; row < ghi; ++row) {
       if (row == 0 || row == n_ - 1) continue;  // fixed global boundary
       ++updated;
-      const int lr = row - rs.lo + 1;
-      const float* above = row_ptr(rs.cur, lr - 1);
-      const float* here = row_ptr(rs.cur, lr);
-      const float* below = row_ptr(rs.cur, lr + 1);
-      float* out = row_ptr(rs.next, lr);
+      const int lr = row - b.lo + 1;
+      const float* above = b.row(b.cur, lr - 1);
+      const float* here = b.row(b.cur, lr);
+      const float* below = b.row(b.cur, lr + 1);
+      float* out = b.row(b.next, lr);
       out[0] = here[0];
       out[n_ - 1] = here[n_ - 1];
       for (int j = 1; j < n_ - 1; ++j) {
         out[j] = 0.25f * (above[j] + below[j] + here[j - 1] + here[j + 1]);
       }
     }
-    const double ms =
-        flop_ms_[static_cast<std::size_t>(rs.rank)] * 5.0 * n_ * updated;
-    const SimTime end =
-        net_.host(placement_[static_cast<std::size_t>(rs.rank)])
-            .reserve(engine_.now(), SimTime::millis(ms));
-    engine_.schedule_at(end, std::move(done));
+    rt_.compute(rank, rt_.flop_ms(rank) * 5.0 * n_ * updated,
+                std::move(done));
   }
 
-  void finish_iteration(RankState& rs) {
-    // Rows that were not relaxed (global boundary) carry over unchanged.
-    const int rows = rs.hi - rs.lo;
-    if (rs.lo == 0) {
-      std::copy_n(row_ptr(rs.cur, 1), n_, row_ptr(rs.next, 1));
-    }
-    if (rs.hi == n_) {
-      std::copy_n(row_ptr(rs.cur, rows), n_, row_ptr(rs.next, rows));
-    }
-    rs.cur.swap(rs.next);
-    ++rs.iter;
-    rs.ghosts_arrived = 0;
-    start_iteration(rs);
+  void finish_iteration(int rank) {
+    block(rank).advance();
+    ++iter_[static_cast<std::size_t>(rank)];
+    start_iteration(rank);
   }
 
   int n_;
   int iterations_;
   bool overlap_;
-  const Placement& placement_;
-  sim::Engine engine_;
-  sim::NetSim net_;
-  mmps::System mmps_;
-  std::optional<sim::FaultInjector> injector_;
-  std::vector<double> flop_ms_;
-  std::vector<RankState> ranks_;
-  SimTime finish_;
+  SpmdRuntime rt_;
+  HaloExchange halo_{rt_};
+  std::vector<RowBlock> blocks_;
+  std::vector<int> iter_;
 };
 
 }  // namespace
@@ -365,7 +226,6 @@ DistributedStencilResult run_distributed_stencil(
     const PartitionVector& partition, const StencilConfig& config,
     const sim::NetSimParams& sim_params, const sim::FaultPlan* faults,
     SimTime fault_origin) {
-  NP_REQUIRE(!placement.empty(), "placement must be non-empty");
   StencilRunner runner(network, placement, partition, config, sim_params,
                        faults, fault_origin);
   return runner.run();

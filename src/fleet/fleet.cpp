@@ -27,13 +27,6 @@ Fleet::Fleet(sim::NetSim& net, FleetOptions options, ColdPath cold_path)
       options_(std::move(options)),
       cold_path_(std::move(cold_path)),
       signature_(svc::network_signature(net.network())),
-      ctr_forwards_(obs::TelemetryRegistry::global().counter("fleet.forwards")),
-      ctr_failovers_(
-          obs::TelemetryRegistry::global().counter("fleet.failovers")),
-      ctr_gossip_rounds_(
-          obs::TelemetryRegistry::global().counter("fleet.gossip_rounds")),
-      ctr_replications_(
-          obs::TelemetryRegistry::global().counter("fleet.replications")),
       telemetry_(std::make_unique<obs::TelemetryRegistry>(
           /*enabled=*/false)),  // histograms only; no spans at fleet level
       hop_route_us_(telemetry_->latency("fleet.request.route_us")),
@@ -50,16 +43,15 @@ Fleet::Fleet(sim::NetSim& net, FleetOptions options, ColdPath cold_path)
   // registries are the recording surface either way.
   options_.tracing =
       options_.tracing || obs::TelemetryRegistry::global_enabled();
-  options_.node.tracing = options_.tracing;
-  options_.node.trace_seed = options_.trace_seed;
   std::vector<NodeId> ids;
   ids.reserve(clusters);
   for (int c = 0; c < clusters; ++c) ids.push_back(c);
   const SimTime now = net_.engine().now();
   nodes_.reserve(clusters);
   for (NodeId id : ids) {
-    nodes_.push_back(std::make_unique<FleetNode>(id, ids, now, options_.peer,
-                                                 options_.node));
+    nodes_.push_back(std::make_unique<FleetNode>(
+        id, ids, now, options_.peer, options_.node, options_.tracing,
+        options_.trace_seed));
   }
 }
 
@@ -140,7 +132,6 @@ void Fleet::heartbeat_round() {
 void Fleet::gossip_round() {
   if (!running_) return;
   ++stats_.gossip_rounds;
-  ctr_gossip_rounds_.add();
   for (const auto& n : nodes_) {
     if (!node_alive(n->id())) continue;
     // Ring successor by ascending node id among this node's live view --
@@ -285,7 +276,6 @@ void Fleet::replicate(NodeId owner, std::uint64_t routing_key,
     encode_decision_into(w, *d);
     mmps_.send(host_of(owner), host_of(replica), kReplicateTag, w.take());
     ++stats_.replications_pushed;
-    ctr_replications_.add();
   }
 }
 
@@ -380,7 +370,6 @@ void Fleet::forward_to(const AttemptPtr& a, NodeId target) {
   mmps_.send(host_of(a->entry), host_of(target), kForwardTag,
              encode_forward(envelope));
   ++stats_.forwards;
-  ctr_forwards_.add();
   e.metrics().forwards.add();
   mmps_.recv_with_timeout(
       host_of(a->entry), host_of(target), reply_tag, options_.forward_timeout,
@@ -414,7 +403,6 @@ void Fleet::forward_to(const AttemptPtr& a, NodeId target) {
         // its own silence thresholds / the token ring's dead reports.
         ++stats_.failovers;
         ++a->failovers;
-        ctr_failovers_.add();
         const SimTime now = net_.engine().now();
         record_node_span(a->entry, "fleet.forward", fwd_ctx, sent, now,
                          {{"target", JsonValue(static_cast<double>(target))},

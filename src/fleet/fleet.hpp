@@ -259,12 +259,6 @@ class Fleet {
   bool armed_ = false;  ///< receive loops are self-re-arming: post once
   std::int32_t next_reply_tag_ = 1;
 
-  // Global counters (resolved once; relaxed adds afterwards).
-  obs::Counter& ctr_forwards_;
-  obs::Counter& ctr_failovers_;
-  obs::Counter& ctr_gossip_rounds_;
-  obs::Counter& ctr_replications_;
-
   // Fleet-level registry + per-hop attribution histograms (declared after
   // the registry they borrow from).
   std::unique_ptr<obs::TelemetryRegistry> telemetry_;

@@ -22,9 +22,10 @@
 // Telemetry: each node owns a private TelemetryRegistry -- real fleets do
 // not share a metrics process, and the merged export (fleet_telemetry.hpp)
 // needs per-node lanes.  Counters are always on; span recording and trace
-// id draws follow NodeOptions::tracing.  The node's span-id stream is
-// seeded from (trace_seed, node id), so one fleet seed yields one
-// deterministic fleet-wide id assignment.
+// id draws follow the `tracing` flag the Fleet hands each node (from
+// FleetOptions).  The node's span-id stream is seeded from (trace_seed,
+// node id), so one fleet seed yields one deterministic fleet-wide id
+// assignment.
 #pragma once
 
 #include <cstdint>
@@ -47,19 +48,17 @@ struct NodeOptions {
   int hot_threshold = 3;
   /// Virtual nodes per node on this node's HashRing.
   int vnodes = 16;
-  /// Record spans (and draw trace ids) into the node's registry; counters
-  /// stay on either way.  The Fleet ctor also turns this on when the
-  /// process-wide obs registry has tracing enabled.
-  bool tracing = false;
-  /// Seed of the node's deterministic span-id stream (stream = node id).
-  std::uint64_t trace_seed = 1;
 };
 
 class FleetNode {
  public:
+  /// `tracing` records spans (and draws trace ids) into the node's
+  /// registry; counters stay on either way.  `trace_seed` seeds the node's
+  /// deterministic span-id stream (stream = node id).  The Fleet passes
+  /// both from FleetOptions.
   FleetNode(NodeId id, const std::vector<NodeId>& nodes, SimTime now,
-            const PeerTableOptions& peer_options,
-            const NodeOptions& options);
+            const PeerTableOptions& peer_options, const NodeOptions& options,
+            bool tracing = false, std::uint64_t trace_seed = 1);
 
   NodeId id() const { return id_; }
   svc::DecisionCache& cache() { return cache_; }
@@ -100,10 +99,10 @@ class FleetNode {
   }
 
   /// This node's private telemetry (merged across the fleet by
-  /// FleetTelemetry).  Span recording follows NodeOptions::tracing.
+  /// FleetTelemetry).  Span recording follows tracing().
   obs::TelemetryRegistry& telemetry() { return *telemetry_; }
   const obs::TelemetryRegistry& telemetry() const { return *telemetry_; }
-  bool tracing() const { return options_.tracing; }
+  bool tracing() const { return tracing_; }
 
   /// New root context for a request entering the fleet at this node.
   /// Invalid when tracing is off: the untraced path draws no ids, so
@@ -127,6 +126,7 @@ class FleetNode {
  private:
   NodeId id_;
   NodeOptions options_;
+  bool tracing_;
   PeerTable peers_;
   svc::DecisionCache cache_;
   std::uint64_t epoch_ = 1;

@@ -147,8 +147,10 @@ void System::recv_any(ProcessorRef dst, std::int32_t tag,
   NP_REQUIRE(handler != nullptr, "recv handler required");
   static obs::Counter& posted = mmps_counter("mmps.recv_any_posted");
   posted.add(1);
-  // Serve the oldest already-delivered message with this (dst, tag) from
-  // any source; Key order scans sources deterministically.
+  // Key order scans sources from the lowest (cluster, index) up: serve the
+  // first source holding a delivered message with this (dst, tag), oldest
+  // of that source's messages first.  Delivery age across sources is not
+  // consulted.
   for (auto& [key, box] : core_->boxes) {
     if (key.dst_cluster != dst.cluster || key.dst_index != dst.index ||
         key.tag != tag || box.ready.empty()) {

@@ -72,11 +72,13 @@ class System {
                          std::int32_t tag, SimTime timeout,
                          RecvHandler handler, TimeoutHandler on_timeout);
 
-  /// Any-source receive at `dst` matching `tag` alone: serves the oldest
-  /// already-delivered message with that tag from any source, else fires
-  /// on the next matching delivery.  Exact-source receives take precedence
-  /// when both are pending.  (The fault-tolerant manager protocol needs
-  /// this: after deaths, a token's predecessor is not known in advance.)
+  /// Any-source receive at `dst` matching `tag` alone: among the sources
+  /// holding an already-delivered message with that tag, serves the lowest
+  /// (source cluster, source index) -- not the oldest delivery -- and that
+  /// source's oldest message; else fires on the next matching delivery.
+  /// Exact-source receives take precedence when both are pending.  (The
+  /// fault-tolerant manager protocol needs this: after deaths, a token's
+  /// predecessor is not known in advance.)
   void recv_any(ProcessorRef dst, std::int32_t tag, RecvHandler handler);
 
   /// Messages delivered but not yet matched by a receive (diagnostics).

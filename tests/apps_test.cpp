@@ -8,8 +8,10 @@
 #include "apps/gauss.hpp"
 #include "apps/particles.hpp"
 #include "apps/stencil.hpp"
+#include "byte_hash.hpp"
 #include "core/decompose.hpp"
 #include "net/presets.hpp"
+#include "sim/faults.hpp"
 
 namespace netpart {
 namespace {
@@ -217,6 +219,132 @@ TEST_F(AppsFixture, ParticleSpecIsLatencyBound) {
   const ComputationSpec spec = apps::make_particle_spec(cfg);
   EXPECT_EQ(spec.dominant_communication().bytes_per_message(1000), 8);
   EXPECT_EQ(spec.num_pdus(), 10000);
+}
+
+// ------------------------------------------------------------ pinned runs
+//
+// Each distributed run pinned bit for bit: the exact elapsed nanoseconds,
+// the message count and a byte hash of the numeric result.  A runtime
+// change that reorders the t=0 rank starts, changes a simulator seed or
+// moves a compute charge fails here even when the numerics still match
+// the sequential reference.  The simulator's RNG only draws fragment
+// losses, so every app also runs at 5% loss, where its seed shows.
+
+sim::NetSimParams lossy() {
+  sim::NetSimParams params;
+  params.loss_rate = 0.05;
+  return params;
+}
+
+TEST_F(AppsFixture, DistributedStencilPinnedBitForBit) {
+  const ProcessorConfig config{3, 2};
+  const Placement placement = contiguous_placement(net_, config);
+  const PartitionVector part = balanced_partition(net_, config, order_, 32);
+  // A slow host and a degraded segment, on a plan clock 2 ms ahead of the
+  // run: pins where the fault injector arms and its origin shift.
+  sim::FaultPlan plan;
+  plan.slowdowns.push_back(
+      {SimTime::millis(3), SimTime::millis(30), placement[1], 3.0});
+  plan.degrades.push_back({SimTime::millis(4), SimTime::millis(20), 0, 2.5});
+  struct Case {
+    const char* name;
+    bool overlap;
+    sim::NetSimParams params;
+    const sim::FaultPlan* faults;
+    std::int64_t elapsed_ns;
+    std::uint64_t messages;
+    std::uint64_t grid_hash;
+  };
+  const Case cases[] = {
+      {"STEN-1", false, {}, nullptr, 35348800, 56, 2699016972131395501},
+      {"STEN-2", true, {}, nullptr, 35156800, 56, 2699016972131395501},
+      {"STEN-1 lossy", false, lossy(), nullptr, 131078400, 56,
+       2699016972131395501},
+      {"STEN-2 lossy", true, lossy(), nullptr, 130214400, 56,
+       2699016972131395501},
+      {"STEN-1 faulted", false, {}, &plan, 46141880, 56, 2699016972131395501},
+      {"STEN-2 faulted", true, {}, &plan, 45757880, 56, 2699016972131395501},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const apps::StencilConfig cfg{.n = 32, .iterations = 7,
+                                  .overlap = c.overlap};
+    const auto dist = apps::run_distributed_stencil(
+        net_, placement, part, cfg, c.params, c.faults, SimTime::millis(2));
+    EXPECT_EQ(dist.elapsed.as_nanos(), c.elapsed_ns);
+    EXPECT_EQ(dist.messages, c.messages);
+    EXPECT_EQ(byte_hash(dist.grid), c.grid_hash);
+  }
+}
+
+TEST_F(AppsFixture, DistributedGaussPinnedBitForBit) {
+  const ProcessorConfig config{3, 2};
+  const Placement placement = contiguous_placement(net_, config);
+  const PartitionVector part = balanced_partition(net_, config, order_, 48);
+  struct Case {
+    apps::RowMapping mapping;
+    std::uint64_t seed;
+    bool lossy;
+    std::int64_t elapsed_ns;
+    std::uint64_t messages;
+    std::uint64_t x_hash;
+  };
+  constexpr apps::RowMapping kBlock = apps::RowMapping::Block;
+  constexpr apps::RowMapping kCyclic = apps::RowMapping::Cyclic;
+  const Case cases[] = {
+      {kBlock, 3, false, 469466120, 384, 2758320047553664941},
+      {kBlock, 3, true, 1634224180, 384, 2758320047553664941},
+      {kBlock, 7, false, 469466120, 384, 17095855729385747189u},
+      {kBlock, 7, true, 1658597760, 384, 17095855729385747189u},
+      {kCyclic, 3, false, 469461520, 384, 2758320047553664941},
+      {kCyclic, 3, true, 1633799360, 384, 2758320047553664941},
+      {kCyclic, 7, false, 469461520, 384, 17095855729385747189u},
+      {kCyclic, 7, true, 1659358160, 384, 17095855729385747189u},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << (c.mapping == apps::RowMapping::Block ? "block"
+                                                          : "cyclic")
+                 << " seed " << c.seed << (c.lossy ? " lossy" : ""));
+    const apps::GaussConfig cfg{.n = 48, .mapping = c.mapping};
+    const auto dist = apps::run_distributed_gauss(
+        net_, placement, part, cfg, c.seed,
+        c.lossy ? lossy() : sim::NetSimParams{});
+    EXPECT_EQ(dist.elapsed.as_nanos(), c.elapsed_ns);
+    EXPECT_EQ(dist.messages, c.messages);
+    EXPECT_EQ(byte_hash(dist.x), c.x_hash);
+  }
+}
+
+TEST_F(AppsFixture, DistributedParticlesPinnedBitForBit) {
+  const ProcessorConfig config{4, 3};
+  const Placement placement = contiguous_placement(net_, config);
+  const PartitionVector part = balanced_partition(net_, config, order_, 200);
+  struct Case {
+    std::uint64_t seed;
+    bool lossy;
+    std::int64_t elapsed_ns;
+    std::uint64_t messages;
+    std::uint64_t state_hash;
+  };
+  const Case cases[] = {
+      {5, false, 145419200, 300, 16762207901862878878u},
+      {5, true, 437246340, 300, 16762207901862878878u},
+      {9, false, 145419200, 300, 15920375061056911433u},
+      {9, true, 385369900, 300, 15920375061056911433u},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "seed " << c.seed << (c.lossy ? " lossy" : ""));
+    const apps::ParticleConfig cfg{.count = 200, .iterations = 25};
+    const auto dist = apps::run_distributed_particles(
+        net_, placement, part, cfg, c.seed,
+        c.lossy ? lossy() : sim::NetSimParams{});
+    EXPECT_EQ(dist.elapsed.as_nanos(), c.elapsed_ns);
+    EXPECT_EQ(dist.messages, c.messages);
+    EXPECT_EQ(byte_hash(dist.state.position, dist.state.velocity),
+              c.state_hash);
+  }
 }
 
 }  // namespace

@@ -274,6 +274,27 @@ TEST_F(MmpsSystemTest, RecvAnyServesAlreadyDeliveredMessage) {
   EXPECT_EQ(mmps_.unclaimed(), 0u);
 }
 
+// recv_any serves the lowest (source cluster, source index) holding a
+// delivered message, not the oldest delivery: c_'s message lands first,
+// yet a_'s is served first.  A mailbox that changes this order must change
+// this test on purpose.
+TEST_F(MmpsSystemTest, RecvAnyServesLowestSourceFirst) {
+  mmps_.send(c_, b_, /*tag=*/9, std::vector<std::byte>(8));
+  engine_.run();
+  const SimTime c_delivered = engine_.now();
+  mmps_.send(a_, b_, 9, std::vector<std::byte>(8));
+  engine_.run();
+  ASSERT_GT(engine_.now(), c_delivered);
+  ASSERT_EQ(mmps_.unclaimed(), 2u);
+
+  std::vector<ProcessorRef> served;
+  for (int i = 0; i < 2; ++i) {
+    mmps_.recv_any(b_, 9, [&](Message msg) { served.push_back(msg.source); });
+  }
+  EXPECT_EQ(served, (std::vector<ProcessorRef>{a_, c_}));
+  EXPECT_EQ(mmps_.unclaimed(), 0u);
+}
+
 TEST_F(MmpsSystemTest, ResetCancelsReceiversAndDropsState) {
   bool got = false;
   mmps_.recv(b_, a_, /*tag=*/2, [&](Message) { got = true; });

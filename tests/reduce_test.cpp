@@ -1,6 +1,7 @@
 // Tests for the tree-reduction application.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "apps/reduce.hpp"
@@ -53,6 +54,44 @@ TEST(ReduceTest, MessageCountMatchesTreeEdges) {
       apps::run_distributed_reduce(testbed(), placement, part, cfg);
   // p-1 tree edges, one upward message each, per iteration.
   EXPECT_EQ(dist.messages, 4u * 4u);
+}
+
+// The run pinned bit for bit (exact elapsed nanoseconds, message count and
+// the sum's bit pattern): the tree combines partials in arrival order, so
+// any change to the runtime's event order shows in the value as well as the
+// time.  The simulator's RNG only draws fragment losses, hence the lossy
+// runs.
+TEST(ReduceTest, DistributedReducePinnedBitForBit) {
+  const apps::ReduceConfig cfg{.count = 5000, .iterations = 3};
+  const ProcessorConfig config{6, 6};
+  const Placement placement = contiguous_placement(testbed(), config);
+  const PartitionVector part = balanced_partition(
+      testbed(), config, clusters_by_speed(testbed()), cfg.count);
+  sim::NetSimParams lossy;
+  lossy.loss_rate = 0.05;
+  struct Case {
+    std::uint64_t seed;
+    bool lossy;
+    std::int64_t elapsed_ns;
+    std::uint64_t messages;
+    std::uint64_t value_bits;
+  };
+  const Case cases[] = {
+      {2, false, 20986600, 33, 4617083092190660690},
+      {2, true, 20986600, 33, 4617083092190660690},
+      {4, false, 20986600, 33, 13848106412208912252u},
+      {4, true, 159013560, 33, 13848106412208912252u},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "seed " << c.seed << (c.lossy ? " lossy" : ""));
+    const auto dist = apps::run_distributed_reduce(
+        testbed(), placement, part, cfg, c.seed,
+        c.lossy ? lossy : sim::NetSimParams{});
+    EXPECT_EQ(dist.elapsed.as_nanos(), c.elapsed_ns);
+    EXPECT_EQ(dist.messages, c.messages);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dist.value), c.value_bits);
+  }
 }
 
 TEST(ReduceTest, ExecutorRunsTreeTopology) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/solver.hpp"
+#include "byte_hash.hpp"
 #include "calib/calibrate.hpp"
 #include "core/decompose.hpp"
 #include "core/partitioner.hpp"
@@ -59,6 +60,39 @@ TEST(SolverTest, DistributedMatchesSequential) {
   for (std::size_t i = 0; i < seq_residuals.size(); ++i) {
     EXPECT_NEAR(dist.residuals[i], seq_residuals[i],
                 1e-9 * (1.0 + seq_residuals[i]));
+  }
+}
+
+// The run pinned bit for bit: exact elapsed nanoseconds, message count and
+// a byte hash of the grid and the residuals.  The solver's simulator seed is
+// fixed, and its RNG only draws fragment losses, so it runs lossless and at
+// 5% loss.
+TEST(SolverTest, DistributedSolverPinnedBitForBit) {
+  const apps::SolverConfig cfg{.n = 40, .iterations = 12};
+  const ProcessorConfig config{4, 3};
+  const Placement placement = contiguous_placement(testbed(), config);
+  const PartitionVector part = balanced_partition(
+      testbed(), config, clusters_by_speed(testbed()), cfg.n);
+  sim::NetSimParams lossy;
+  lossy.loss_rate = 0.05;
+  struct Case {
+    bool lossy;
+    std::int64_t elapsed_ns;
+    std::uint64_t messages;
+    std::uint64_t result_hash;
+  };
+  const Case cases[] = {
+      {false, 131324040, 216, 12395803094255193621u},
+      {true, 338548560, 216, 12395803094255193621u},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.lossy ? "lossy" : "lossless");
+    const auto dist = apps::run_distributed_solver(
+        testbed(), placement, part, cfg,
+        c.lossy ? lossy : sim::NetSimParams{});
+    EXPECT_EQ(dist.elapsed.as_nanos(), c.elapsed_ns);
+    EXPECT_EQ(dist.messages, c.messages);
+    EXPECT_EQ(byte_hash(dist.grid, dist.residuals), c.result_hash);
   }
 }
 
