@@ -1,6 +1,6 @@
 // Partition-search hot path: the evaluation engine under the microscope.
 //
-// Seven sections, emitted as BENCH_partition.json:
+// Eight sections, emitted as BENCH_partition.json:
 //
 //   * eval -- ns per cost-model evaluation, reference path (estimate(),
 //     materialises the Eq. 3 vector) vs fast path (estimate_into(), the
@@ -13,6 +13,11 @@
 //   * alloc -- heap allocations per steady-state fast/delta evaluation,
 //     counted by a global operator-new hook in this binary.  The contract
 //     is exactly zero once the scratch has warmed up.
+//   * rebind -- a warm scratch bound to a freshly constructed estimator
+//     (the service's one-estimator-per-cold-request pattern): allocations
+//     during binding (contract: zero) and constructor + bind ns at 1 200
+//     and 60 000 PDUs (the bytes memo is fixed-size, so the cost should
+//     not grow with num_PDUs).
 //   * preflight -- the service admission gate's zero-cost contract.
 //   * search -- full partition() searches per second with one long-lived
 //     scratch: Binary search single- and multi-threaded (each thread owns
@@ -27,14 +32,14 @@
 //
 // Gate ledger (bench::GateSet): the checks block's `pass` is the AND over
 // gates that ran; skipped gates land in `gates_skipped` with a reason.
-// Structural gates (bitwise on all engines, zero-alloc, preflight
-// zero-cost, exhaustive determinism) always run -- --smoke runs a reduced
-// rep count and exits nonzero if any of them fails; tier-1 runs that on
-// every build.  Wall-clock gates (fast >= 3x, delta probe < 40 ns under
-// its historical name batched_under_40ns, parallel speedup >= 0.8x per
-// effective thread) run in full mode only, and the single-core skip (no
-// wall-clock speedup physically possible; < 40 ns is a multi-core-host
-// gate) is explicit, unit-tested, and
+// Structural gates (bitwise on all engines, zero-alloc per evaluation and
+// per rebind, preflight zero-cost, exhaustive determinism) always run --
+// --smoke runs a reduced rep count and exits nonzero if any of them
+// fails; tier-1 runs that on every build.  Wall-clock gates (fast >= 3x,
+// delta probe < 40 ns under its historical name batched_under_40ns,
+// parallel speedup >= 0.8x per effective thread) run in full mode only,
+// and the single-core skip (no wall-clock speedup physically possible;
+// < 40 ns is a multi-core-host gate) is explicit, unit-tested, and
 // driven by detected_hardware_concurrency() / NETPART_HW_CONCURRENCY.
 //
 // Keys: eval_reps, searches, exhaustive_size, threads, json_out, smoke.
@@ -258,13 +263,12 @@ int run(const Config& args) {
   // agreement with estimate_into on the moved configuration is asserted
   // here for every probe of the first pass (the property tier covers
   // randomised sequences).
-  DeltaScratch delta_scratch;
   bool delta_bitwise = true;
   std::vector<std::pair<ClusterId, int>> probes;  // valid +/-1 moves
   {
     const ProcessorConfig& baseline = configs[0];
     const int total = config_total(baseline);
-    estimator.bind_delta(baseline, delta_scratch, scratch);
+    estimator.bind_delta(baseline, scratch);
     ProcessorConfig moved = baseline;
     for (std::size_t c = 0; c < baseline.size(); ++c) {
       for (const int delta : {+1, -1}) {
@@ -273,7 +277,7 @@ int run(const Config& args) {
         if (total + delta == 0) continue;
         probes.emplace_back(static_cast<ClusterId>(c), delta);
         const FastEstimate d = estimator.estimate_delta(
-            static_cast<ClusterId>(c), delta, delta_scratch, scratch);
+            static_cast<ClusterId>(c), delta, scratch);
         moved = baseline;
         moved[c] = p;
         const FastEstimate f = estimator.estimate_into(moved, scratch);
@@ -290,9 +294,7 @@ int run(const Config& args) {
         for (std::int64_t i = 0; i < reps; ++i) {
           const auto& [c, delta] =
               probes[static_cast<std::size_t>(i) % probes.size()];
-          sink +=
-              estimator.estimate_delta(c, delta, delta_scratch, scratch)
-                  .t_c_ms;
+          sink += estimator.estimate_delta(c, delta, scratch).t_c_ms;
         }
         delta_evals += reps;
       });
@@ -325,8 +327,7 @@ int run(const Config& args) {
   for (std::int64_t i = 0; i < alloc_evals; ++i) {
     const auto& [c, delta] =
         probes[static_cast<std::size_t>(i) % probes.size()];
-    sink += estimator.estimate_delta(c, delta, delta_scratch, scratch)
-                .t_c_ms;
+    sink += estimator.estimate_delta(c, delta, scratch).t_c_ms;
   }
   const std::uint64_t delta_allocs =
       g_allocations.load(std::memory_order_relaxed) - delta_allocs_before;
@@ -348,6 +349,52 @@ int run(const Config& args) {
                     static_cast<double>(fast_allocs) /
                         static_cast<double>(alloc_evals))
                .set("reference_allocations_per_eval", ref_allocs));
+
+  // --- rebind: a warm scratch bound to a fresh estimator ----------------
+  // The service builds one estimator per cold request and hands it a warm
+  // slot scratch.  Binding must refill the per-cluster tables and the
+  // fixed-size bytes memo without allocating, at a cost that does not grow
+  // with num_PDUs.  Each rep constructs an estimator (allocations outside
+  // the count) and binds it; the timing covers constructor plus bind.
+  constexpr int kBindSizes[] = {1200, 60000};
+  std::uint64_t rebind_allocs = 0;
+  double bind_ns[2] = {0.0, 0.0};
+  {
+    const std::int64_t bind_reps = smoke ? 200 : 20000;
+    const ComputationSpec bind_specs[] = {
+        apps::make_stencil_spec(apps::StencilConfig{
+            .n = kBindSizes[0], .iterations = 10, .overlap = false}),
+        apps::make_stencil_spec(apps::StencilConfig{
+            .n = kBindSizes[1], .iterations = 10, .overlap = false})};
+    EstimatorScratch bind_scratch;
+    const ProcessorConfig& baseline = configs[0];
+    sink += CycleEstimator(bed.net, bed.cal.db, bind_specs[0])
+                .bind_delta(baseline, bind_scratch)
+                .t_c_ms;  // warm-up: the first binding sizes the buffers
+    for (std::int64_t i = 0; i < bind_reps; ++i) {
+      const CycleEstimator fresh(bed.net, bed.cal.db, bind_specs[i % 2]);
+      const std::uint64_t before =
+          g_allocations.load(std::memory_order_relaxed);
+      sink += fresh.bind_delta(baseline, bind_scratch).t_c_ms;
+      rebind_allocs += g_allocations.load(std::memory_order_relaxed) - before;
+    }
+    for (int k = 0; k < 2; ++k) {
+      bind_ns[k] = min_window_ns_per_op(
+          bind_reps, kWindows, [&](std::int64_t reps) {
+            for (std::int64_t i = 0; i < reps; ++i) {
+              sink += CycleEstimator(bed.net, bed.cal.db, bind_specs[k])
+                          .bind_delta(baseline, bind_scratch)
+                          .t_c_ms;
+            }
+          });
+    }
+    root.set("rebind",
+             JsonValue::object()
+                 .set("binds", bind_reps)
+                 .set("allocations", rebind_allocs)
+                 .set("fresh_bind_ns_n1200", bind_ns[0])
+                 .set("fresh_bind_ns_n60000", bind_ns[1]));
+  }
 
   // --- preflight: the admission gate's zero-cost contract ---------------
   // The partition service lints its network + cost model once at startup
@@ -519,6 +566,7 @@ int run(const Config& args) {
   // measure the hypervisor, not the code.  `pass` is the AND over gates
   // that ran; `gates_skipped` lists the rest with reasons.
   const bool zero_alloc = fast_allocs == 0 && delta_allocs == 0;
+  const bool zero_alloc_rebind = rebind_allocs == 0;
   const bool preflight_zero = validate_allocs == 0 && preflight_evals == 0;
   const bool fast_3x = eval_speedup >= 3.0;
   // The sub-40 ns bar was set for the batched lane engine; it now binds
@@ -532,6 +580,7 @@ int run(const Config& args) {
   gates.require("bitwise_match", bitwise);
   gates.require("delta_bitwise_match", delta_bitwise);
   gates.require("zero_alloc_per_eval", zero_alloc);
+  gates.require("zero_alloc_rebind", zero_alloc_rebind);
   gates.require("preflight_zero_cost", preflight_zero);
   gates.require("exhaustive_configs_match", exhaustive_match);
   if (smoke) {
@@ -562,6 +611,7 @@ int run(const Config& args) {
                .set("bitwise_match", bitwise)
                .set("delta_bitwise_match", delta_bitwise)
                .set("zero_alloc_per_eval", zero_alloc)
+               .set("zero_alloc_rebind", zero_alloc_rebind)
                .set("preflight_zero_cost", preflight_zero)
                .set("exhaustive_configs_match", exhaustive_match)
                .set("fast_speedup_3x", fast_3x)
@@ -580,6 +630,9 @@ int run(const Config& args) {
                   format_double(static_cast<double>(fast_allocs) /
                                     static_cast<double>(alloc_evals),
                                 3)});
+  table.add_row({"fresh estimator + bind ns (n=1200 / 60000)",
+                  format_double(bind_ns[0], 1) + " / " +
+                      format_double(bind_ns[1], 1)});
   table.add_row({"exhaustive serial ns/config",
                   format_double(serial_ns_per_config, 1)});
   table.add_row({"exhaustive serial / parallel (ms)",
@@ -599,9 +652,9 @@ int run(const Config& args) {
     // gates were skipped), so any failure is a contract violation.
     std::fprintf(stderr,
                  "bench_partition_hotpath --smoke FAILED: bitwise=%d "
-                 "delta_bitwise=%d zero_alloc=%d "
+                 "delta_bitwise=%d zero_alloc=%d zero_alloc_rebind=%d "
                  "preflight_zero=%d exhaustive_match=%d\n",
-                 bitwise, delta_bitwise, zero_alloc,
+                 bitwise, delta_bitwise, zero_alloc, zero_alloc_rebind,
                  preflight_zero, exhaustive_match);
     return 1;
   }

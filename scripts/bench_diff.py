@@ -42,6 +42,11 @@ METRICS = [
      "down"),
     (("exhaustive", "speedup"), "exhaustive speedup", "up"),
     (("alloc", "allocations_per_eval"), "allocations/eval", "down"),
+    (("rebind", "fresh_bind_ns_n1200"), "estimator + bind ns (1.2k PDUs)",
+     "down"),
+    (("rebind", "fresh_bind_ns_n60000"), "estimator + bind ns (60k PDUs)",
+     "down"),
+    (("rebind", "allocations"), "rebind allocations", "down"),
 ]
 
 

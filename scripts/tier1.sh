@@ -71,9 +71,9 @@
 #   * npcheck over specs/ and the network presets -- the shipped artifacts
 #     must be diagnostics-clean (see DESIGN.md §11);
 #   * bench_partition_hotpath --smoke -- fails the tier if the estimator
-#     fast path allocates in steady state, diverges bitwise from the
-#     reference path, or the service admission gate adds allocations to
-#     the cached hot path.
+#     fast path allocates in steady state or when a warm scratch is bound
+#     to a fresh estimator, diverges bitwise from the reference path, or
+#     the service admission gate adds allocations to the cached hot path.
 #
 # Tests run in a random order (--schedule-random) so hidden inter-test
 # dependencies surface, and --repeat until-pass:1 keeps every test to a

@@ -6,7 +6,7 @@
 // churn bumps the epoch mid-run -- exactly the workload the decision cache,
 // request coalescing, and admission control exist for.  At the end the
 // service's own metrics registry reports throughput, hit rate, and
-// latency tails, optionally as CSV/JSON for dashboards.
+// latency tails, optionally as JSON for dashboards.
 //
 // Keys:
 //   network  = paper | fig1 | coercion | metasystem   (default paper)
@@ -22,7 +22,7 @@
 //   churn    = availability updates spread over the run (default 4)
 //   seed     = workload seed                           (default 1)
 //   model_in = saved cost model (skips calibration)
-//   json_out = metrics JSON path,  csv_out = metrics CSV path
+//   json_out = metrics JSON path
 //
 // Telemetry (also accepted as --trace-out FILE / --metrics-out FILE):
 //   trace_out   = Chrome trace-event JSON (chrome://tracing, Perfetto)
@@ -319,12 +319,6 @@ int run(const Config& args) {
     NP_REQUIRE(out.good(), "cannot open json_out path");
     out << m.to_json().dump(2);
     std::printf("metrics JSON -> %s\n", path->c_str());
-  }
-  if (const auto path = args.get("csv_out")) {
-    std::ofstream out(*path);
-    NP_REQUIRE(out.good(), "cannot open csv_out path");
-    m.write_csv(out);
-    std::printf("metrics CSV -> %s\n", path->c_str());
   }
 
   if (telemetry) {

@@ -11,32 +11,21 @@
 namespace netpart {
 
 namespace {
-/// Process-unique identities for DeltaScratch binding.  Stack-allocated
+/// Process-unique identities for scratch binding.  Stack-allocated
 /// estimators can reuse addresses, so pointers cannot tell two apart.
 std::atomic<std::uint64_t> g_next_binding_id{1};
 
-/// The delta path's memoised bytes_per_message lookup: the dominant
-/// communication phase's callback (a std::function, the one indirect call
-/// the tables cannot hoist) is deterministic for the estimator's lifetime,
-/// so caching by A_i is exact.  Direct-indexed table when num_PDUs is
-/// small (one load, no hashing), direct-mapped hash memo otherwise; both
-/// are cleared on rebinding.
+/// The kernel's memoised bytes_per_message lookup (see
+/// EstimatorScratch::memo_key).
 inline std::int64_t memoized_bytes(const CommunicationPhaseSpec& comm,
-                                   DeltaScratch& d, std::int64_t a) {
-  if (!d.bytes_cache.empty()) {
-    std::int64_t bytes = d.bytes_cache[static_cast<std::size_t>(a)];
-    if (bytes >= 0) return bytes;
-    bytes = comm.bytes_per_message(a);
-    d.bytes_cache[static_cast<std::size_t>(a)] = bytes;
-    return bytes;
-  }
+                                   EstimatorScratch& s, std::int64_t a) {
   const auto slot = static_cast<std::size_t>(
       (static_cast<std::uint64_t>(a) * 0x9E3779B97F4A7C15ull) >>
-      (64 - DeltaScratch::kBytesMemoBits));
-  if (d.memo_key[slot] == a + 1) return d.memo_val[slot];
+      (64 - EstimatorScratch::kBytesMemoBits));
+  if (s.memo_key[slot] == a + 1) return s.memo_val[slot];
   const std::int64_t bytes = comm.bytes_per_message(a);
-  d.memo_key[slot] = a + 1;
-  d.memo_val[slot] = bytes;
+  s.memo_key[slot] = a + 1;
+  s.memo_val[slot] = bytes;
   return bytes;
 }
 
@@ -149,127 +138,42 @@ CycleEstimate CycleEstimator::estimate_impl(
   return out;
 }
 
-FastEstimate CycleEstimator::estimate_into(const ProcessorConfig& config,
-                                           EstimatorScratch& scratch) const {
-  ++scratch.evaluations;
-  validate_config(network_, config);
-
-  // Active clusters in placement (rank-major) order.  clear() + push_back
-  // on retained capacity: no allocation once the buffers have grown to the
-  // network's cluster count.
-  scratch.group_weights.clear();
-  scratch.group_sizes.clear();
-  scratch.group_clusters.clear();
-  int total_p = 0;
-  for (ClusterId c : cluster_order_) {
-    const int p = config[static_cast<std::size_t>(c)];
-    if (p == 0) continue;
-    const double s = network_.cluster(c).type().flop_time.as_seconds();
-    scratch.group_weights.push_back(1.0 / s);
-    scratch.group_sizes.push_back(p);
-    scratch.group_clusters.push_back(c);
-    total_p += p;
-  }
-  // Mirror balanced_partition()'s preconditions (validate_config already
-  // guarantees total_p > 0).
-  NP_REQUIRE(num_pdus_ > 0, "num_pdus must be positive");
-  NP_REQUIRE(num_pdus_ >= total_p,
-             "cannot give every selected processor a PDU");
-
-  const std::size_t groups = scratch.group_clusters.size();
-  scratch.shares.resize(groups);
-  scratch.max_a.resize(groups);
-  if (proportional_group_shares(scratch.group_weights, scratch.group_sizes,
-                                num_pdus_, scratch.shares)) {
-    for (std::size_t g = 0; g < groups; ++g) {
-      scratch.max_a[g] =
-          scratch.shares[g].base + (scratch.shares[g].extras > 0 ? 1 : 0);
-    }
-  } else {
-    // Starvation repair engaged (extreme speed skew): the closed form
-    // cannot reproduce the donor-stealing loop, so materialise the real
-    // Eq. 3 vector once and take the per-cluster maxima from it.  Rare and
-    // allocating -- correctness over speed on this branch.
-    const PartitionVector partition =
-        balanced_partition(network_, config, cluster_order_, num_pdus_);
-    int rank = 0;
-    for (std::size_t g = 0; g < groups; ++g) {
-      std::int64_t max_a = 0;
-      for (int i = 0; i < scratch.group_sizes[g]; ++i, ++rank) {
-        max_a = std::max(max_a, partition.at(rank));
-      }
-      scratch.max_a[g] = max_a;
-    }
-  }
-
-  // Eq. 4 per cluster: within a homogeneous cluster the max over ranks of
-  // s_ms * ops * A is the value at the cluster's max A (multiplication by
-  // a non-negative constant is monotone, so this is the exact same double
-  // the rank scan produces).
-  double t_comp = 0.0;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const ProcessorType& type =
-        network_.cluster(scratch.group_clusters[g]).type();
-    const double s_ms = (dominant_comp_->op_kind == OpKind::FloatingPoint
-                             ? type.flop_time
-                             : type.int_time)
-                            .as_millis();
-    t_comp = std::max(t_comp, s_ms * ops_per_pdu_ *
-                                  static_cast<double>(scratch.max_a[g]));
-  }
-
-  double t_comm = 0.0;
-  if (dominant_comm_ != nullptr && total_p > 1) {
-    t_comm = comm_cost_from_groups(scratch.group_clusters.data(),
-                                   scratch.group_sizes.data(),
-                                   scratch.max_a.data(), groups, total_p);
-  }
-
-  const double t_overlap =
-      phases_overlap_ ? std::min(t_comp, t_comm) : 0.0;
-
-  FastEstimate out{t_comp, t_comm, t_overlap, 0.0, 0.0};
-  out.t_c_ms = t_comp + t_comm - t_overlap;
-  out.t_elapsed_ms = out.t_c_ms * spec_.iterations();
-  return out;
-}
-
-void CycleEstimator::bind_delta_tables(DeltaScratch& d) const {
+void CycleEstimator::bind_tables(EstimatorScratch& s) const {
+  s.bound_id = 0;  // half-built tables must not pass for bound ones
   const auto k = static_cast<std::size_t>(network_.num_clusters());
 
-  d.inv_s.resize(k);
-  d.comp_ms.resize(k);
-  d.capacity.resize(k);
+  s.inv_s.resize(k);
+  s.comp_ms.resize(k);
+  s.capacity.resize(k);
   for (ClusterId c = 0; c < network_.num_clusters(); ++c) {
     const auto ci = static_cast<std::size_t>(c);
     const ProcessorType& type = network_.cluster(c).type();
-    // The exact doubles estimate_into computes per evaluation: the Eq. 3
-    // weight always uses the flop rate, T_comp the dominant op kind's.
-    // estimate_into evaluates s_ms * ops_per_pdu * A left to right, so the
-    // s_ms * ops_per_pdu prefix is a loop-invariant product the binding
-    // can fold without changing a bit of the final T_comp.
-    d.inv_s[ci] = 1.0 / type.flop_time.as_seconds();
-    d.comp_ms[ci] = (dominant_comp_->op_kind == OpKind::FloatingPoint
+    // The Eq. 3 weight always uses the flop rate, T_comp the dominant op
+    // kind's.  estimate() evaluates s_ms * ops_per_pdu * A left to right,
+    // so the s_ms * ops_per_pdu prefix is a loop-invariant product the
+    // binding can fold without changing a bit of the final T_comp.
+    s.inv_s[ci] = 1.0 / type.flop_time.as_seconds();
+    s.comp_ms[ci] = (dominant_comp_->op_kind == OpKind::FloatingPoint
                          ? type.flop_time
                          : type.int_time)
                         .as_millis() *
                     ops_per_pdu_;
-    d.capacity[ci] = network_.cluster(c).size();
+    s.capacity[ci] = network_.cluster(c).size();
   }
 
-  d.has_fit.assign(k, 0);
-  d.fit.assign(k, Eq1Fit{});
-  d.router_i.assign(k * k, 0.0);
-  d.router_s.assign(k * k, 0.0);
-  d.coerce_i.assign(k * k, 0.0);
-  d.coerce_s.assign(k * k, 0.0);
-  d.has_router.assign(k * k, 0);
+  s.has_fit.assign(k, 0);
+  s.fit.assign(k, Eq1Fit{});
+  s.router_i.assign(k * k, 0.0);
+  s.router_s.assign(k * k, 0.0);
+  s.coerce_i.assign(k * k, 0.0);
+  s.coerce_s.assign(k * k, 0.0);
+  s.has_router.assign(k * k, 0);
   if (dominant_comm_ != nullptr) {
     for (ClusterId c = 0; c < network_.num_clusters(); ++c) {
       const auto ci = static_cast<std::size_t>(c);
       if (has_fit_[ci]) {
-        d.has_fit[ci] = 1;
-        d.fit[ci] = db_.comm_fit(c, comm_topology_);
+        s.has_fit[ci] = 1;
+        s.fit[ci] = db_.comm_fit(c, comm_topology_);
       }
     }
     for (ClusterId a = 0; a < network_.num_clusters(); ++a) {
@@ -278,167 +182,101 @@ void CycleEstimator::bind_delta_tables(DeltaScratch& d) const {
         const std::size_t slot =
             static_cast<std::size_t>(a) * k + static_cast<std::size_t>(b);
         if (const auto rf = db_.router_fit(a, b)) {
-          d.has_router[slot] = 1;
-          d.router_i[slot] = rf->intercept;
-          d.router_s[slot] = rf->slope;
+          s.has_router[slot] = 1;
+          s.router_i[slot] = rf->intercept;
+          s.router_s[slot] = rf->slope;
         }
         if (const auto cf = db_.coerce_fit(a, b)) {
           // Absent coercion stays {0, 0}: max(0, 0 + 0*b) reproduces
           // coerce_ms()'s literal 0.0 return bitwise.
-          d.coerce_i[slot] = cf->intercept;
-          d.coerce_s[slot] = cf->slope;
+          s.coerce_i[slot] = cf->intercept;
+          s.coerce_s[slot] = cf->slope;
         }
       }
     }
+    // A different estimator means a different spec: memo entries keyed
+    // by the old spec's callback are poison, not a warm start.
+    s.memo_key.assign(std::size_t{1} << EstimatorScratch::kBytesMemoBits, 0);
+    s.memo_val.resize(std::size_t{1} << EstimatorScratch::kBytesMemoBits);
   }
 
-  // A different estimator means a different spec: the bytes caches keyed
-  // by the old spec's callback are poison, not a warm start.
-  if (dominant_comm_ != nullptr && num_pdus_ <= DeltaScratch::kBytesDirectMax) {
-    d.bytes_cache.assign(static_cast<std::size_t>(num_pdus_) + 1, -1);
-    d.memo_key.clear();
-    d.memo_val.clear();
-  } else {
-    d.bytes_cache.clear();
-    d.memo_key.assign(std::size_t{1} << DeltaScratch::kBytesMemoBits, 0);
-    d.memo_val.assign(std::size_t{1} << DeltaScratch::kBytesMemoBits, 0);
-  }
-
-  // Baseline cache and patched-lane staging: at most every cluster active
-  // (+1 slack in the staging so the insertion case never reallocates
-  // mid-evaluation), so neither a rebuild nor an adopting commit_delta
-  // allocates once bound.
-  d.group_w.reserve(k);
-  d.group_p.reserve(k);
-  d.group_c.reserve(k);
-  d.prefix_w.reserve(k + 1);
-  d.lane_w.resize(k + 1);
-  d.lane_p.resize(k + 1);
-  d.lane_c.resize(k + 1);
-  d.lane_prefix.resize(k + 2);
-  d.lane_base.resize(k + 1);
-  d.lane_frac.resize(k + 1);
-  d.lane_rb.resize(k + 1);
-  d.lane_max_a.resize(k + 1);
-  d.lane_bytes.resize(k + 1);
+  // At most every cluster is active, so neither a gather nor a patch nor
+  // an adopting commit_delta allocates once bound.
+  s.stage_w.resize(k);
+  s.stage_p.resize(k);
+  s.stage_c.resize(k);
+  s.stage_prefix.resize(k + 1);
+  s.stage_base.resize(k);
+  s.stage_frac.resize(k);
+  s.stage_rb.resize(k);
+  s.stage_max_a.resize(k);
+  s.stage_bytes.resize(k);
+  s.delta.group_w.reserve(k);
+  s.delta.group_p.reserve(k);
+  s.delta.group_c.reserve(k);
+  s.delta.prefix_w.reserve(k + 1);
+  s.bound_id = binding_id_;
 }
 
-void CycleEstimator::rebuild_delta_cache(DeltaScratch& d) const {
-  d.group_w.clear();
-  d.group_p.clear();
-  d.group_c.clear();
-  d.prefix_w.clear();
+void CycleEstimator::gather(const ProcessorConfig& config,
+                            EstimatorScratch& s) const {
+  int groups = 0;
   int total = 0;
   double sum = 0.0;
   for (ClusterId c : cluster_order_) {
-    const int p = d.config[static_cast<std::size_t>(c)];
+    const int p = config[static_cast<std::size_t>(c)];
     if (p == 0) continue;
-    const double w = d.inv_s[static_cast<std::size_t>(c)];
-    d.prefix_w.push_back(sum);
-    d.group_w.push_back(w);
-    d.group_p.push_back(p);
-    d.group_c.push_back(c);
-    // Eq. 3 weight sum: rank-major repeated adds, so every prefix is the
-    // exact double the from-scratch gather reaches at that group.
+    const double w = s.inv_s[static_cast<std::size_t>(c)];
+    const auto g = static_cast<std::size_t>(groups++);
+    s.stage_w[g] = w;
+    s.stage_p[g] = p;
+    s.stage_c[g] = c;
+    s.stage_prefix[g] = sum;
+    // Eq. 3 weight sum: rank-major repeated adds, the exact order
+    // balanced_partition() sums the per-rank weights in.
     for (int i = 0; i < p; ++i) sum += w;
     total += p;
   }
-  d.prefix_w.push_back(sum);
-  d.total_p = total;
+  s.stage_prefix[static_cast<std::size_t>(groups)] = sum;
+  s.staged_groups = groups;
+  s.staged_total = total;
+}
+
+// Forced inline for the same reason as the kernel below: every step of a
+// probe-then-commit chain runs it (~1 ns per exhaustive-sweep step).
+[[gnu::always_inline]] inline void CycleEstimator::adopt_staged(
+    EstimatorScratch& s) {
+  DeltaScratch& d = s.delta;
+  const auto groups = static_cast<std::size_t>(s.staged_groups);
+  d.group_w.assign(s.stage_w.begin(), s.stage_w.begin() + groups);
+  d.group_p.assign(s.stage_p.begin(), s.stage_p.begin() + groups);
+  d.group_c.assign(s.stage_c.begin(), s.stage_c.begin() + groups);
+  d.prefix_w.assign(s.stage_prefix.begin(),
+                    s.stage_prefix.begin() + groups + 1);
+  d.total_p = s.staged_total;
   d.staged_cluster = -1;
 }
 
-FastEstimate CycleEstimator::bind_delta(const ProcessorConfig& config,
-                                        DeltaScratch& d,
-                                        EstimatorScratch& scratch) const {
-  // estimate_into validates and counts the baseline evaluation; the
-  // per-cluster tables are rebuilt only when the estimator changed.
-  const FastEstimate out = estimate_into(config, scratch);
-  if (d.bound_id != binding_id_) {
-    d.bound_id = 0;  // half-built tables must not pass for bound ones
-    bind_delta_tables(d);
-    d.bound_id = binding_id_;
-  }
-  d.config = config;
-  rebuild_delta_cache(d);
-  return out;
-}
+// Forced inline into both entry points: as an out-of-line call the kernel
+// cost the delta probe ~8 ns of its ~50 (bench_partition_hotpath, 4-vCPU
+// Xeon, gcc 12), the staged operands round-tripping through memory.
+[[gnu::always_inline]] inline FastEstimate CycleEstimator::evaluate_staged(
+    EstimatorScratch& s, bool delta_probe) const {
+  const int groups = s.staged_groups;
+  const int total = s.staged_total;
+  const double* lw = s.stage_w.data();
+  const int* lp = s.stage_p.data();
+  const ClusterId* lc = s.stage_c.data();
 
-FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
-                                            DeltaScratch& d,
-                                            EstimatorScratch& scratch) const {
-  NP_REQUIRE(d.bound_id == binding_id_,
-             "delta scratch is not bound to this estimator "
-             "(call bind_delta first)");
-  const auto k = static_cast<std::size_t>(network_.num_clusters());
-  const auto ci = static_cast<std::size_t>(cluster);
-  NP_REQUIRE(ci < k, "cluster id out of range");
-  const int moved_p = d.config[ci] + delta;
-  NP_REQUIRE(moved_p >= 0 && moved_p <= d.capacity[ci],
-             "configuration exceeds cluster capacity");
-  const int total = d.total_p + delta;
-  NP_REQUIRE(total > 0, "configuration must select at least one processor");
-  NP_REQUIRE(num_pdus_ >= total,
-             "cannot give every selected processor a PDU");
-
-  // Patched gather: groups strictly before the moved cluster in placement
-  // order are the baseline's, byte for byte; the Eq. 3 weight-sum chain
-  // resumes from the cached partial at the splice point, so the full sum
-  // is the exact double a from-scratch gather of the moved configuration
-  // produces.  The partials are staged alongside the groups so that
-  // commit_delta of this move can adopt both.
-  const int baseline_groups = static_cast<int>(d.group_c.size());
-  const int pos = order_pos_[ci];
-  int j = 0;
-  while (j < baseline_groups &&
-         order_pos_[static_cast<std::size_t>(d.group_c[j])] < pos) {
-    ++j;
-  }
-  const bool was_active = j < baseline_groups && d.group_c[j] == cluster;
-  double* lw = d.lane_w.data();
-  int* lp = d.lane_p.data();
-  ClusterId* lc = d.lane_c.data();
-  double* lpre = d.lane_prefix.data();
-  for (int g = 0; g < j; ++g) {
-    lw[g] = d.group_w[static_cast<std::size_t>(g)];
-    lp[g] = d.group_p[static_cast<std::size_t>(g)];
-    lc[g] = d.group_c[static_cast<std::size_t>(g)];
-    lpre[g] = d.prefix_w[static_cast<std::size_t>(g)];
-  }
-  int groups = j;
-  double sum = d.prefix_w[static_cast<std::size_t>(j)];
-  if (moved_p > 0) {
-    const double w = d.inv_s[ci];
-    lw[groups] = w;
-    lp[groups] = moved_p;
-    lc[groups] = cluster;
-    lpre[groups] = sum;
-    ++groups;
-    for (int i = 0; i < moved_p; ++i) sum += w;
-  }
-  for (int g = j + (was_active ? 1 : 0); g < baseline_groups; ++g) {
-    const double w = d.group_w[static_cast<std::size_t>(g)];
-    const int p = d.group_p[static_cast<std::size_t>(g)];
-    lw[groups] = w;
-    lp[groups] = p;
-    lc[groups] = d.group_c[static_cast<std::size_t>(g)];
-    lpre[groups] = sum;
-    ++groups;
-    for (int i = 0; i < p; ++i) sum += w;
-  }
-  lpre[groups] = sum;
-  d.staged_cluster = cluster;
-  d.staged_delta = delta;
-  d.staged_groups = groups;
-
-  // Shares (InvariantDivider: one reciprocal plus two FMAs per group where
-  // the toolchain has hardware FMA, bitwise x/d by Markstein's correction
-  // -- see dp/rank_kernel.hpp), the branchless largest-remainder rank
-  // kernel, starvation, and the Eq. 4 fold.
+  // Eq. 3 shares (InvariantDivider: one reciprocal plus two FMAs per group
+  // where the toolchain has hardware FMA, bitwise x/d by Markstein's
+  // correction -- see dp/rank_kernel.hpp).  Every rank of a group computes
+  // the identical ideal share, so floor and fractional part collapse to
+  // one value per group.
   const double pdus = static_cast<double>(num_pdus_);
-  const InvariantDivider div(sum);
-  std::int64_t* lb = d.lane_base.data();
-  double* lf = d.lane_frac.data();
+  const InvariantDivider div(s.stage_prefix[static_cast<std::size_t>(groups)]);
+  std::int64_t* lb = s.stage_base.data();
+  double* lf = s.stage_frac.data();
   std::int64_t used = 0;
   for (int g = 0; g < groups; ++g) {
     const double ideal = div.divide(pdus * lw[g]);
@@ -450,10 +288,14 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   const std::int64_t remainder = num_pdus_ - used;
   NP_ASSERT(remainder >= 0 && remainder <= total);
 
-  largest_remainder_ranks(lf, lp, groups, d.lane_rb.data());
-  const std::int64_t* rb = d.lane_rb.data();
-  std::int64_t* la = d.lane_max_a.data();
-  const double* comp_ms = d.comp_ms.data();
+  // Largest-remainder distribution: the stable per-rank sort (frac
+  // descending, original rank order on ties) never interleaves two groups,
+  // so group g's ranks are preceded by exactly rb[g] ranks and the first
+  // remainder - rb[g] of them (clamped to [0, P_g]) receive an extra PDU.
+  largest_remainder_ranks(lf, lp, groups, s.stage_rb.data());
+  const std::int64_t* rb = s.stage_rb.data();
+  std::int64_t* la = s.stage_max_a.data();
+  const double* comp_ms = s.comp_ms.data();
   int starved = 0;
   double t_comp = 0.0;
   for (int g = 0; g < groups; ++g) {
@@ -465,34 +307,33 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
     starved |= static_cast<int>(lb[g] == 0) & static_cast<int>(dd < lp[g]);
     const std::int64_t a = lb[g] + static_cast<std::int64_t>(dd > 0);
     la[g] = a;
+    // Eq. 4 per cluster: within a homogeneous cluster the max over ranks
+    // of s_ms * ops * A is the value at the cluster's max A
+    // (multiplication by a non-negative constant is monotone).
     t_comp = std::max(t_comp, comp_ms[static_cast<std::size_t>(lc[g])] *
                                   static_cast<double>(a));
   }
-  if (starved != 0) {
-    // Starvation repair (extreme speed skew, rare): the closed form cannot
-    // reproduce the donor-stealing loop; replay the moved configuration
-    // through the scalar path, which counts itself.  The staged gather is
-    // still the moved configuration's, so a commit may adopt it.
-    d.moved = d.config;
-    d.moved[ci] = moved_p;
-    return estimate_into(d.moved, scratch);
+  if (starved != 0) [[unlikely]] {
+    t_comp = repair_starved(s);
+  } else if (delta_probe) {
+    ++s.delta_evaluations;
   }
-  ++scratch.evaluations;
-  ++scratch.delta_evaluations;
 
   // Eq. 2/5 communication over the bound coefficient tables: the worst
-  // synchronous cluster, then the boundary router/coercion penalties.
+  // synchronous cluster, then the boundary router/coercion penalties
+  // (comm_cost_from_groups() is the reference form).
   double t_comm = 0.0;
   if (dominant_comm_ != nullptr && total > 1) {
+    const auto k = static_cast<std::size_t>(network_.num_clusters());
     const Topology topo = comm_topology_;
     const bool bw_limited = comm_bw_limited_;
-    const char* has_fit = d.has_fit.data();
-    const Eq1Fit* fit = d.fit.data();
-    double* gb = d.lane_bytes.data();
+    const char* has_fit = s.has_fit.data();
+    const Eq1Fit* fit = s.fit.data();
+    double* gb = s.stage_bytes.data();
     double worst = 0.0;
     for (int g = 0; g < groups; ++g) {
       const double bytes =
-          static_cast<double>(memoized_bytes(*dominant_comm_, d, la[g]));
+          static_cast<double>(memoized_bytes(*dominant_comm_, s, la[g]));
       gb[g] = bytes;
       int adj = 0;
       if (groups > 1) {
@@ -537,11 +378,11 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
       const std::size_t slot =
           static_cast<std::size_t>(ca) * k + static_cast<std::size_t>(cb);
       const double router =
-          d.has_router[slot]
-              ? std::max(0.0, d.router_i[slot] + d.router_s[slot] * bytes)
-              : db_.router_ms(ca, cb, bytes);  // throws exactly like scalar
+          s.has_router[slot]
+              ? std::max(0.0, s.router_i[slot] + s.router_s[slot] * bytes)
+              : db_.router_ms(ca, cb, bytes);  // throws like the reference
       const double coerce =
-          std::max(0.0, d.coerce_i[slot] + d.coerce_s[slot] * bytes);
+          std::max(0.0, s.coerce_i[slot] + s.coerce_s[slot] * bytes);
       penalty = std::max(penalty, router + coerce);
     }
     t_comm = worst + penalty;
@@ -554,32 +395,151 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   return out;
 }
 
-void CycleEstimator::commit_delta(ClusterId cluster, int delta,
-                                  DeltaScratch& d,
-                                  EstimatorScratch& /*scratch*/) const {
+double CycleEstimator::repair_starved(EstimatorScratch& s) const {
+  // Extreme speed skew rounds some rank's share to 0, and the closed form
+  // cannot reproduce balanced_partition()'s donor-stealing loop.
+  // Materialise the real Eq. 3 vector once and take each group's max A
+  // from it -- allocating, correctness over speed.  The staged groups stay
+  // untouched, so a commit_delta of this probe still adopts them.
+  const int groups = s.staged_groups;
+  s.repair_config.assign(static_cast<std::size_t>(network_.num_clusters()),
+                         0);
+  for (int g = 0; g < groups; ++g) {
+    s.repair_config[static_cast<std::size_t>(s.stage_c[g])] = s.stage_p[g];
+  }
+  const PartitionVector partition = balanced_partition(
+      network_, s.repair_config, cluster_order_, num_pdus_);
+  double t_comp = 0.0;
+  int rank = 0;
+  for (int g = 0; g < groups; ++g) {
+    const auto gi = static_cast<std::size_t>(g);
+    std::int64_t max_a = 0;
+    for (int i = 0; i < s.stage_p[gi]; ++i, ++rank) {
+      max_a = std::max(max_a, partition.at(rank));
+    }
+    s.stage_max_a[gi] = max_a;
+    t_comp = std::max(t_comp, s.comp_ms[static_cast<std::size_t>(
+                                  s.stage_c[gi])] *
+                                  static_cast<double>(max_a));
+  }
+  return t_comp;
+}
+
+FastEstimate CycleEstimator::estimate_into(const ProcessorConfig& config,
+                                           EstimatorScratch& scratch) const {
+  ++scratch.evaluations;
+  validate_config(network_, config);
+  if (scratch.bound_id != binding_id_) bind_tables(scratch);
+  gather(config, scratch);
+  scratch.delta.staged_cluster = -1;
+  NP_REQUIRE(num_pdus_ >= scratch.staged_total,
+             "cannot give every selected processor a PDU");
+  return evaluate_staged(scratch, /*delta_probe=*/false);
+}
+
+FastEstimate CycleEstimator::bind_delta(const ProcessorConfig& config,
+                                        EstimatorScratch& scratch) const {
+  // estimate_into validates, counts the baseline evaluation, binds the
+  // tables and stages the gather the baseline cache adopts.
+  const FastEstimate out = estimate_into(config, scratch);
+  scratch.delta.bound_id = binding_id_;
+  scratch.delta.config = config;
+  adopt_staged(scratch);
+  return out;
+}
+
+FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
+                                            EstimatorScratch& scratch) const {
+  DeltaScratch& d = scratch.delta;
   NP_REQUIRE(d.bound_id == binding_id_,
              "delta scratch is not bound to this estimator "
              "(call bind_delta first)");
   const auto ci = static_cast<std::size_t>(cluster);
   NP_REQUIRE(ci < d.config.size(), "cluster id out of range");
+  if (scratch.bound_id != binding_id_) bind_tables(scratch);
   const int moved_p = d.config[ci] + delta;
-  NP_REQUIRE(moved_p >= 0 && moved_p <= d.capacity[ci],
+  NP_REQUIRE(moved_p >= 0 && moved_p <= scratch.capacity[ci],
+             "configuration exceeds cluster capacity");
+  const int total = d.total_p + delta;
+  NP_REQUIRE(total > 0, "configuration must select at least one processor");
+  NP_REQUIRE(num_pdus_ >= total,
+             "cannot give every selected processor a PDU");
+
+  // Patched gather: groups strictly before the moved cluster in placement
+  // order are the baseline's, byte for byte; the Eq. 3 weight-sum chain
+  // resumes from the cached partial at the splice point, so the full sum
+  // is the exact double a from-scratch gather of the moved configuration
+  // produces.  The partials are staged alongside the groups so that
+  // commit_delta of this move can adopt both.
+  const int baseline_groups = static_cast<int>(d.group_c.size());
+  const int pos = order_pos_[ci];
+  int j = 0;
+  while (j < baseline_groups &&
+         order_pos_[static_cast<std::size_t>(d.group_c[j])] < pos) {
+    ++j;
+  }
+  const bool was_active = j < baseline_groups && d.group_c[j] == cluster;
+  double* lw = scratch.stage_w.data();
+  int* lp = scratch.stage_p.data();
+  ClusterId* lc = scratch.stage_c.data();
+  double* lpre = scratch.stage_prefix.data();
+  for (int g = 0; g < j; ++g) {
+    lw[g] = d.group_w[static_cast<std::size_t>(g)];
+    lp[g] = d.group_p[static_cast<std::size_t>(g)];
+    lc[g] = d.group_c[static_cast<std::size_t>(g)];
+    lpre[g] = d.prefix_w[static_cast<std::size_t>(g)];
+  }
+  int groups = j;
+  double sum = d.prefix_w[static_cast<std::size_t>(j)];
+  if (moved_p > 0) {
+    const double w = scratch.inv_s[ci];
+    lw[groups] = w;
+    lp[groups] = moved_p;
+    lc[groups] = cluster;
+    lpre[groups] = sum;
+    ++groups;
+    for (int i = 0; i < moved_p; ++i) sum += w;
+  }
+  for (int g = j + (was_active ? 1 : 0); g < baseline_groups; ++g) {
+    const double w = d.group_w[static_cast<std::size_t>(g)];
+    const int p = d.group_p[static_cast<std::size_t>(g)];
+    lw[groups] = w;
+    lp[groups] = p;
+    lc[groups] = d.group_c[static_cast<std::size_t>(g)];
+    lpre[groups] = sum;
+    ++groups;
+    for (int i = 0; i < p; ++i) sum += w;
+  }
+  lpre[groups] = sum;
+  scratch.staged_groups = groups;
+  scratch.staged_total = total;
+  d.staged_cluster = cluster;
+  d.staged_delta = delta;
+
+  ++scratch.evaluations;
+  return evaluate_staged(scratch, /*delta_probe=*/true);
+}
+
+void CycleEstimator::commit_delta(ClusterId cluster, int delta,
+                                  EstimatorScratch& scratch) const {
+  DeltaScratch& d = scratch.delta;
+  NP_REQUIRE(d.bound_id == binding_id_,
+             "delta scratch is not bound to this estimator "
+             "(call bind_delta first)");
+  const auto ci = static_cast<std::size_t>(cluster);
+  NP_REQUIRE(ci < d.config.size(), "cluster id out of range");
+  if (scratch.bound_id != binding_id_) bind_tables(scratch);
+  const int moved_p = d.config[ci] + delta;
+  NP_REQUIRE(moved_p >= 0 && moved_p <= scratch.capacity[ci],
              "configuration exceeds cluster capacity");
   d.config[ci] = moved_p;
+  // Unless the last probe scored exactly this move (its staged gather is
+  // the moved configuration's, down to the weight-sum partials), gather
+  // the moved configuration afresh.
   if (d.staged_cluster != cluster || d.staged_delta != delta) {
-    rebuild_delta_cache(d);
-    return;
+    gather(d.config, scratch);
   }
-  // The last probe scored exactly this move: its staged gather is the
-  // moved configuration's, down to the weight-sum partials.
-  const auto groups = static_cast<std::size_t>(d.staged_groups);
-  d.group_w.assign(d.lane_w.begin(), d.lane_w.begin() + groups);
-  d.group_p.assign(d.lane_p.begin(), d.lane_p.begin() + groups);
-  d.group_c.assign(d.lane_c.begin(), d.lane_c.begin() + groups);
-  d.prefix_w.assign(d.lane_prefix.begin(),
-                    d.lane_prefix.begin() + groups + 1);
-  d.total_p += delta;
-  d.staged_cluster = -1;
+  adopt_staged(scratch);
 }
 
 double CycleEstimator::cluster_cost_ms(ClusterId c, double bytes,

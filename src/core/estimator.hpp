@@ -11,27 +11,29 @@
 // using only the program callbacks and the offline-calibrated cost model --
 // no network activity happens at estimation time.
 //
-// Three evaluation paths:
+// Two evaluators:
 //
-//   * estimate() -- the reference path: materialises the full Eq. 3
-//     partition vector and scans it rank by rank.  One heap-allocating
-//     call per evaluation; keep for results (the caller gets the
-//     PartitionVector) and as ground truth.
-//   * estimate_into() -- the scalar fast path: Eq. 3 is evaluated in
-//     closed form per *cluster* (a balanced partition hands a homogeneous
-//     cluster only the floor/ceiling of its ideal share, see
-//     proportional_group_shares), so no per-rank vector exists and a
-//     steady-state evaluation allocates nothing.  Results are bitwise
-//     identical to estimate() -- the property tier asserts this.  Binary
-//     search probes, baselines and the starvation fallback run here.
-//   * estimate_delta() -- the incremental path every chain of +/-1 moves
-//     runs on (the exhaustive sweep's Gray-code walk, the Linear-search
-//     prefill, the hill climb, the adaptive repartition scorer): a
-//     configuration one move away from a cached baseline (bind_delta) is
-//     scored by reusing the baseline's validation, active-group gather,
-//     and weight-sum prefix, recomputing only the Eq. 3 shares and the
-//     Eq. 4/5 folds.  Bitwise identical to estimate_into() on the moved
-//     configuration.
+//   * estimate() -- the reference: materialises the full Eq. 3 partition
+//     vector and scans it rank by rank.  One heap-allocating call per
+//     evaluation; kept for results (the caller gets the PartitionVector)
+//     and as ground truth.
+//   * the closed-form kernel -- Eq. 3 per *cluster* (a balanced partition
+//     hands a homogeneous cluster only the floor/ceiling of its ideal
+//     share), so no per-rank vector exists and a steady-state evaluation
+//     allocates nothing.  It scores a list of active groups: shares, the
+//     largest-remainder rank kernel, starvation repair, the Eq. 4 fold and
+//     the Eq. 2/5 fold over per-cluster tables bound into the scratch.
+//     Bitwise identical to estimate() -- the property tier asserts this.
+//
+// Two entry points reach the kernel:
+//
+//   * estimate_into() gathers a configuration's active groups and their
+//     rank-major weight-sum prefixes.  Binary search probes run here.
+//   * estimate_delta() patches a cached baseline's groups (bind_delta) by
+//     one +/-1 move -- the exhaustive sweep's Gray-code walk, the Linear-
+//     search prefill, the hill climb and the adaptive repartition scorer
+//     run on it -- reusing the baseline's validation, gather and weight-sum
+//     prefix.
 #pragma once
 
 #include <atomic>
@@ -69,53 +71,22 @@ struct FastEstimate {
 };
 
 /// Cached baseline for CycleEstimator::estimate_delta(): one evaluated
-/// configuration plus the gather-stage state a single +/-1 rescoring can
-/// reuse.  A move changes the Eq. 3 weight sum, hence every group's ideal
-/// share -- so the divisions and the rank kernel must rerun -- but the
-/// validation scan, the active-group gather, and the weight-sum prefix up
-/// to the moved cluster are pure functions of the baseline and are served
-/// from this cache.  Bound to one (estimator, baseline) pair via
-/// bind_delta(); rebind after the estimator or the baseline changes by any
-/// path other than commit_delta().
+/// configuration plus the gather a single +/-1 rescoring can reuse.  A
+/// move changes the Eq. 3 weight sum, hence every group's ideal share --
+/// so the kernel reruns -- but the validation scan, the active-group
+/// gather, and the weight-sum prefix up to the moved cluster are pure
+/// functions of the baseline and are served from this cache.  Bound to
+/// one (estimator, baseline) pair via bind_delta(); rebind after the
+/// estimator or the baseline changes by any path other than commit_delta().
 struct DeltaScratch {
-  /// Estimator the cache and the constant tables belong to
-  /// (CycleEstimator::binding_id(); 0 = unbound).  Address comparison is
-  /// not enough: a stack-constructed estimator can reuse the address of a
-  /// dead one (the svc workers do exactly that, one estimator per cold
-  /// request).
+  /// Estimator the baseline belongs to (CycleEstimator::binding_id();
+  /// 0 = unbound).
   std::uint64_t bound_id = 0;
-
-  // Per-cluster constants (indexed by ClusterId), built by bind_delta only
-  // when the scratch changes estimator -- binding a new baseline against
-  // the same estimator reuses them, so a warm scratch allocates nothing.
-  std::vector<double> inv_s;       ///< Eq. 3 weight 1/S_i (flop seconds)
-  std::vector<double> comp_ms;     ///< Eq. 4 prefix s_ms * ops_per_pdu
-  std::vector<int> capacity;       ///< cluster sizes (validation)
-  std::vector<char> has_fit;       ///< dominant-topology comm fit present
-  std::vector<Eq1Fit> fit;         ///< by-value Eq. 1 fits (where has_fit)
-  std::vector<double> router_i, router_s;  ///< per ordered pair, K*K
-  std::vector<double> coerce_i, coerce_s;  ///< zero when no coercion fit
-  std::vector<char> has_router;
-
-  /// Memo for the dominant communication phase's bytes_per_message
-  /// callback (a std::function, the one indirect call per group the
-  /// tables cannot hoist).  Spec callbacks are fixed for the estimator's
-  /// lifetime, so caching by A_i is exact.  For the common case (num_PDUs
-  /// small enough) `bytes_cache` is indexed directly by A_i (-1 = empty):
-  /// one load per group, no hashing, no collisions.  Above kBytesDirectMax
-  /// PDUs the direct table would outgrow the data cache, so a
-  /// direct-mapped hash memo takes over.  Both are cleared on rebinding.
-  static constexpr std::int64_t kBytesDirectMax = std::int64_t{1} << 16;
-  std::vector<std::int64_t> bytes_cache;  ///< [0, num_pdus]; empty if large
-  static constexpr int kBytesMemoBits = 9;
-  std::vector<std::int64_t> memo_key;  ///< A_i + 1; 0 = empty
-  std::vector<std::int64_t> memo_val;
 
   ProcessorConfig config;  ///< the cached baseline configuration
   int total_p = 0;         ///< config_total(config)
 
-  // Active groups of the baseline in placement (rank-major) order -- the
-  // gather pass estimate_into performs per evaluation, done once here.
+  // Active groups of the baseline in placement (rank-major) order.
   std::vector<double> group_w;
   std::vector<int> group_p;
   std::vector<ClusterId> group_c;
@@ -127,30 +98,12 @@ struct DeltaScratch {
   /// prefix_w[groups] is the full baseline sum.
   std::vector<double> prefix_w;
 
-  // Patched-lane staging (the moved configuration's groups, weight-sum
-  // partials, and shares).  Sized to the cluster count + 1 on first bind;
-  // steady-state delta evaluations allocate nothing.
-  std::vector<double> lane_w;
-  std::vector<int> lane_p;
-  std::vector<ClusterId> lane_c;
-  std::vector<double> lane_prefix;
-  std::vector<std::int64_t> lane_base;
-  std::vector<double> lane_frac;
-  std::vector<std::int64_t> lane_rb;
-  std::vector<std::int64_t> lane_max_a;
-  std::vector<double> lane_bytes;
-
-  /// The move the lane staging above describes (-1 = none): commit_delta
-  /// of exactly this move adopts the staged groups and partials instead of
-  /// regathering -- a probe-then-commit chain pays for one gather per step.
+  /// The move the scratch's kernel staging describes (-1 = none):
+  /// commit_delta of exactly this move adopts the staged groups and
+  /// partials instead of regathering -- a probe-then-commit chain pays for
+  /// one gather per step.  estimate_into() restages, so it clears this.
   ClusterId staged_cluster = -1;
   int staged_delta = 0;
-  int staged_groups = 0;
-
-  /// Staging for the starvation fallback (the rare configuration the
-  /// closed form cannot serve replays through estimate_into on this
-  /// buffer, keeping the fallback allocation-free too).
-  ProcessorConfig moved;
 };
 
 /// Reusable buffers for CycleEstimator::estimate_into() /
@@ -159,31 +112,70 @@ struct DeltaScratch {
 /// one per compute slot, handed to one caller at a time; the work-stealing
 /// exhaustive sweep one per worker).  Buffers grow to the network's
 /// cluster count on first use and are then reused: steady-state
-/// evaluations perform zero heap allocations.
+/// evaluations, and rebinding to another estimator of no more clusters,
+/// perform zero heap allocations.
 struct EstimatorScratch {
   /// Fast-path evaluations recorded through this scratch.  Search drivers
   /// read the delta across a search and merge it into the estimator's
   /// evaluations() plus the batched `estimator.evaluations` counter.
   std::uint64_t evaluations = 0;
 
-  /// Of `evaluations`, how many ran through estimate_delta()'s patched
-  /// single-lane path (the starvation fallback replays through
-  /// estimate_into and counts as a plain fast-path evaluation).  Drivers
-  /// fold the delta into the `estimator.delta_evals` telemetry counter.
+  /// Of `evaluations`, how many were estimate_delta() probes the closed
+  /// form served (a probe that needs starvation repair counts as a plain
+  /// evaluation).  Drivers fold the delta into the `estimator.delta_evals`
+  /// telemetry counter.
   std::uint64_t delta_evaluations = 0;
 
-  // Internal buffers (estimator + partitioner use; sizes are per-network).
-  std::vector<double> group_weights;     ///< 1/S_i per active cluster
-  std::vector<int> group_sizes;          ///< P_i per active cluster
-  std::vector<ClusterId> group_clusters; ///< active cluster ids, rank order
-  std::vector<GroupShare> shares;        ///< closed-form Eq. 3 shares
-  std::vector<std::int64_t> max_a;       ///< per active cluster max A_i
-  std::vector<double> objective_cache;   ///< ClusterObjective memo (NaN=empty)
+  /// Estimator the per-cluster tables belong to
+  /// (CycleEstimator::binding_id(); 0 = unbound).  Address comparison is
+  /// not enough: a stack-constructed estimator can reuse the address of a
+  /// dead one (the service builds one estimator per cold request).
+  std::uint64_t bound_id = 0;
+
+  // Per-cluster constants (indexed by ClusterId), rebuilt only when the
+  // scratch changes estimator.
+  std::vector<double> inv_s;       ///< Eq. 3 weight 1/S_i (flop seconds)
+  std::vector<double> comp_ms;     ///< Eq. 4 prefix s_ms * ops_per_pdu
+  std::vector<int> capacity;       ///< cluster sizes (validation)
+  std::vector<char> has_fit;       ///< dominant-topology comm fit present
+  std::vector<Eq1Fit> fit;         ///< by-value Eq. 1 fits (where has_fit)
+  std::vector<double> router_i, router_s;  ///< per ordered pair, K*K
+  std::vector<double> coerce_i, coerce_s;  ///< zero when no coercion fit
+  std::vector<char> has_router;
+
+  /// Direct-mapped memo for the dominant communication phase's
+  /// bytes_per_message callback (a std::function, the one indirect call
+  /// per group the tables cannot hoist), keyed by A_i.  Spec callbacks are
+  /// fixed for the estimator's lifetime, so caching is exact; cleared on
+  /// rebinding.
+  static constexpr int kBytesMemoBits = 9;
+  std::vector<std::int64_t> memo_key;  ///< A_i + 1; 0 = empty
+  std::vector<std::int64_t> memo_val;
+
+  // Kernel staging: the evaluated configuration's active groups in
+  // placement order with their weight-sum partials (stage_prefix[groups]
+  // is the full sum), then the kernel's per-group shares and maxima.
+  // Sized to the cluster count on binding.
+  int staged_groups = 0;
+  int staged_total = 0;  ///< processors over the staged groups
+  std::vector<double> stage_w;
+  std::vector<int> stage_p;
+  std::vector<ClusterId> stage_c;
+  std::vector<double> stage_prefix;
+  std::vector<std::int64_t> stage_base;
+  std::vector<double> stage_frac;
+  std::vector<std::int64_t> stage_rb;
+  std::vector<std::int64_t> stage_max_a;
+  std::vector<double> stage_bytes;
+  /// The staged configuration, rebuilt for starvation repair (the rare
+  /// case the closed form cannot serve materialises Eq. 3 from it).
+  ProcessorConfig repair_config;
+
+  std::vector<double> objective_cache;  ///< ClusterObjective memo (NaN=empty)
 
   /// Delta-evaluation baseline cache (see DeltaScratch).  Embedded so the
   /// searches, the hill climb and the adaptive repartition scorer reuse
-  /// warm buffers and constant tables through the scratch they already
-  /// hold.
+  /// warm buffers and tables through the scratch they already hold.
   DeltaScratch delta;
 
   /// Candidate staging for the general partitioner's start-set assembly.
@@ -205,51 +197,46 @@ class CycleEstimator {
   /// for configurations that exceed cluster capacities or select nothing.
   CycleEstimate estimate(const ProcessorConfig& config) const;
 
-  /// Allocation-free evaluation of one configuration through `scratch`.
-  /// Bitwise identical to estimate() on every cost field.  Thread-safe for
-  /// concurrent calls with distinct scratches; bumps scratch.evaluations
-  /// instead of this estimator's counter (callers merge, see
-  /// merge_evaluations()).
+  /// Allocation-free evaluation of one configuration through `scratch`
+  /// (the closed-form kernel over a full gather).  Bitwise identical to
+  /// estimate() on every cost field.  Thread-safe for concurrent calls
+  /// with distinct scratches; bumps scratch.evaluations instead of this
+  /// estimator's counter (callers merge, see merge_evaluations()).  Binds
+  /// the scratch's per-cluster tables when it last served a different
+  /// estimator.
   FastEstimate estimate_into(const ProcessorConfig& config,
                              EstimatorScratch& scratch) const;
 
-  /// Cache `config` as `d`'s delta baseline and return its estimate
-  /// (bitwise estimate_into; counts one evaluation).  Builds `d`'s
-  /// per-cluster constant tables when `d` was bound to a different
-  /// estimator (allocates); rebinding against the same one does not.
-  /// Subsequent
-  /// estimate_delta()/commit_delta() calls against `d` are valid until the
-  /// estimator or the baseline changes by any other path.
-  FastEstimate bind_delta(const ProcessorConfig& config, DeltaScratch& d,
+  /// Cache `config` as scratch.delta's baseline and return its estimate
+  /// (estimate_into; counts one evaluation).  Subsequent
+  /// estimate_delta()/commit_delta() calls are valid until the estimator
+  /// or the baseline changes by any other path.
+  FastEstimate bind_delta(const ProcessorConfig& config,
                           EstimatorScratch& scratch) const;
 
-  /// Score baseline-with-one-move -- the configuration equal to `d`'s
+  /// Score baseline-with-one-move -- the configuration equal to the bound
   /// baseline except cluster `cluster` gains `delta` processors -- without
   /// touching the baseline.  Bitwise identical to estimate_into() on the
   /// moved configuration (the property tier asserts this across randomised
-  /// move sequences), at a fraction of the cost: validation, the
-  /// active-group gather, and the weight-sum prefix before the moved
-  /// cluster come from the cache; only the share divisions, the rank
-  /// kernel, and the Eq. 4/5 folds rerun.  Throws InvalidArgument exactly
-  /// where estimate_into would (capacity exceeded, nothing selected, more
-  /// ranks than PDUs).  Moves that empty or activate a cluster are
-  /// supported; a move the closed form cannot serve (starvation repair)
-  /// replays through estimate_into transparently.
-  FastEstimate estimate_delta(ClusterId cluster, int delta, DeltaScratch& d,
+  /// move sequences): validation, the active-group gather, and the
+  /// weight-sum prefix before the moved cluster come from the cache; only
+  /// the kernel reruns.  Throws InvalidArgument exactly where
+  /// estimate_into would (capacity exceeded, nothing selected, more ranks
+  /// than PDUs).  Moves that empty or activate a cluster are supported.
+  FastEstimate estimate_delta(ClusterId cluster, int delta,
                               EstimatorScratch& scratch) const;
 
-  /// Apply a move to `d`'s cached baseline: the baseline becomes the moved
+  /// Apply a move to the cached baseline: the baseline becomes the moved
   /// configuration and the gather cache is refreshed.  No evaluation is
   /// performed (the caller already holds the move's estimate from
-  /// estimate_delta).  When the last estimate_delta against `d` scored
-  /// this same move, its staged groups and weight-sum partials become the
-  /// new cache as they are; any other move regathers from the moved
-  /// configuration.
-  void commit_delta(ClusterId cluster, int delta, DeltaScratch& d,
+  /// estimate_delta).  When the last kernel run on `scratch` was
+  /// estimate_delta of this same move, its staged groups and weight-sum
+  /// partials become the new cache as they are; otherwise the moved
+  /// configuration is regathered.
+  void commit_delta(ClusterId cluster, int delta,
                     EstimatorScratch& scratch) const;
 
-  /// Identity for DeltaScratch binding (never 0; see
-  /// DeltaScratch::bound_id).
+  /// Identity for scratch binding (never 0; see EstimatorScratch::bound_id).
   std::uint64_t binding_id() const { return binding_id_; }
 
   /// Clusters ordered fastest-first; partition vectors and placements are
@@ -275,17 +262,26 @@ class CycleEstimator {
 
  private:
   CycleEstimate estimate_impl(const ProcessorConfig& config) const;
-  /// Rebuild `d`'s per-cluster constant tables and clear its bytes memo
-  /// (allocates; bind_delta calls it only on an estimator change).
-  void bind_delta_tables(DeltaScratch& d) const;
-  /// Rebuild `d`'s gather cache (active groups, weight-sum prefixes) from
-  /// d.config.  Reads the bound per-cluster tables in `d`.
-  void rebuild_delta_cache(DeltaScratch& d) const;
+  /// Bind `s` to this estimator: rebuild its per-cluster tables, clear
+  /// its bytes memo and size its staging.  Callers skip it when
+  /// s.bound_id already names this estimator.
+  void bind_tables(EstimatorScratch& s) const;
+  /// Stage `config`'s active groups and weight-sum partials in `s`.
+  void gather(const ProcessorConfig& config, EstimatorScratch& s) const;
+  /// Make `s`'s staged groups its delta baseline's gather cache.
+  static void adopt_staged(EstimatorScratch& s);
+  /// The closed-form kernel over `s`'s staged groups.  `delta_probe`
+  /// counts a closed-form result in s.delta_evaluations.
+  FastEstimate evaluate_staged(EstimatorScratch& s, bool delta_probe) const;
+  /// Starvation repair for the staged groups (rare, allocating): writes
+  /// each group's max A from the materialised Eq. 3 vector and returns
+  /// the Eq. 4 T_comp.
+  double repair_starved(EstimatorScratch& s) const;
   double comm_cost_ms(const ProcessorConfig& config,
                       const PartitionVector& partition) const;
-  /// Shared Eq. 1/2/5 evaluation once the per-cluster max A_i are known.
-  /// `clusters`/`sizes`/`max_a` describe the active clusters in placement
-  /// order; total_p is config_total(config).
+  /// The reference path's Eq. 1/2/5 evaluation once the per-cluster max
+  /// A_i are known.  `clusters`/`sizes`/`max_a` describe the active
+  /// clusters in placement order; total_p is config_total(config).
   double comm_cost_from_groups(const ClusterId* clusters, const int* sizes,
                                const std::int64_t* max_a,
                                std::size_t num_groups, int total_p) const;

@@ -16,17 +16,16 @@ namespace {
 /// Every candidate is one move away from the current configuration, so
 /// each is scored through estimate_delta against the bound baseline --
 /// validation, gather, and the weight-sum prefix are reused instead of
-/// recomputed 2K times per round.  Probing order (cluster ascending, +1
-/// before -1) and the strict improvement bar match the original batched
-/// climb, so move sequences -- and evaluation counts -- are unchanged.
-/// The caller reads scratch.evaluations for budget accounting.
+/// recomputed 2K times per round.  Probing order is cluster ascending, +1
+/// before -1, and a move must beat the current value by more than 1e-12,
+/// so move sequences -- and evaluation counts -- are deterministic.
+/// Every score bumps `*evaluations`, the caller's budget tally.
 double hill_climb(const CycleEstimator& estimator,
                   const AvailabilitySnapshot& snapshot,
                   ProcessorConfig& config, std::uint64_t budget,
                   std::uint64_t* evaluations, EstimatorScratch& scratch) {
-  DeltaScratch& d = scratch.delta;
   ++*evaluations;
-  double current = estimator.bind_delta(config, d, scratch).t_c_ms;
+  double current = estimator.bind_delta(config, scratch).t_c_ms;
   int total = config_total(config);
   bool improved = true;
   while (improved && *evaluations < budget) {
@@ -40,8 +39,7 @@ double hill_climb(const CycleEstimator& estimator,
         if (moved < 0 || moved > snapshot.available[c]) continue;
         if (total + delta == 0) continue;
         const double value =
-            estimator
-                .estimate_delta(static_cast<ClusterId>(c), delta, d, scratch)
+            estimator.estimate_delta(static_cast<ClusterId>(c), delta, scratch)
                 .t_c_ms;
         ++*evaluations;
         if (value < best_value - 1e-12) {
@@ -53,7 +51,7 @@ double hill_climb(const CycleEstimator& estimator,
     }
     if (best_cluster >= 0) {
       estimator.commit_delta(static_cast<ClusterId>(best_cluster),
-                             best_delta, d, scratch);
+                             best_delta, scratch);
       config[static_cast<std::size_t>(best_cluster)] += best_delta;
       total += best_delta;
       current = best_value;

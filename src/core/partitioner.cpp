@@ -60,14 +60,13 @@ class ClusterObjective {
   /// evaluations, bitwise the values the scalar scan would have cached.
   /// (Binary search stays scalar -- it probes adaptively.)
   void prefill(int lo, int hi) {
-    DeltaScratch& d = scratch_.delta;
     config_[static_cast<std::size_t>(cluster_)] = lo;
     cache_[static_cast<std::size_t>(lo)] =
-        estimator_.bind_delta(config_, d, scratch_).t_c_ms;
+        estimator_.bind_delta(config_, scratch_).t_c_ms;
     for (int p = lo + 1; p <= hi; ++p) {
       cache_[static_cast<std::size_t>(p)] =
-          estimator_.estimate_delta(cluster_, +1, d, scratch_).t_c_ms;
-      estimator_.commit_delta(cluster_, +1, d, scratch_);
+          estimator_.estimate_delta(cluster_, +1, scratch_).t_c_ms;
+      estimator_.commit_delta(cluster_, +1, scratch_);
     }
   }
 
@@ -282,7 +281,6 @@ void run_sweep_worker(const CycleEstimator& estimator,
         best_index = index;
       }
     };
-    DeltaScratch& d = worker.scratch.delta;
     for (;;) {
       NP_ATOMIC_RMW(&cursor, "core.sweep.cursor");
       const std::uint64_t begin =
@@ -321,13 +319,13 @@ void run_sweep_worker(const CycleEstimator& estimator,
         step();
         ++rank;
       }
-      consider(estimator.bind_delta(config, d, worker.scratch).t_c_ms);
+      consider(estimator.bind_delta(config, worker.scratch).t_c_ms);
       while (++rank < end) {
         const std::size_t i = step();
         const double tc =
-            estimator.estimate_delta(cluster[i], dir[i], d, worker.scratch)
+            estimator.estimate_delta(cluster[i], dir[i], worker.scratch)
                 .t_c_ms;
-        estimator.commit_delta(cluster[i], dir[i], d, worker.scratch);
+        estimator.commit_delta(cluster[i], dir[i], worker.scratch);
         consider(tc);
       }
     }

@@ -2,10 +2,11 @@
 //
 // proportional_partition() realises the ideal (fractional) Eq. 3 shares as
 // integers by handing the leftover PDUs to the ranks with the largest
-// fractional parts, stable on ties.  Everything the closed-form evaluators
-// need from that sort is one number per group: how many ranks precede the
-// group in the frac-descending order ("ranks_before") -- the remainder is
-// then compared against it to decide whether the group receives an extra.
+// fractional parts, stable on ties.  Everything the estimator's closed-form
+// kernel (core/estimator.cpp) needs from that sort is one number per
+// group: how many ranks precede the group in the frac-descending order
+// ("ranks_before") -- the remainder is then compared against it to decide
+// whether the group receives an extra.
 //
 // Two implementations of that count, bitwise-identical by construction
 // (both implement the same exact-double comparisons; the differential tier
@@ -14,15 +15,14 @@
 //   * largest_remainder_ranks() -- the hot entry point.  For <= 4 groups
 //     (every paper testbed, and the 4-cluster bench preset) it sorts the
 //     (frac, index) keys through a 5-comparator sorting network of
-//     conditional moves -- no data-dependent branch anywhere, so the
-//     mistrained-predictor cost of the old quadratic compare loop (the
-//     dominant term of the batched per-eval profile) disappears.  Above 4
-//     groups it falls back to the quadratic pass.
+//     conditional moves -- no data-dependent branch anywhere, so a
+//     quadratic compare loop's mistrained-predictor cost disappears.
+//     Above 4 groups it falls back to the quadratic pass.
 //   * detail::largest_remainder_ranks_general() -- the branch-free O(G^2)
 //     pass, kept as the any-size fallback and as the differential oracle.
 //
-// Also here: InvariantDivider, the reciprocal-multiply division used by the
-// batched share stage (see the class comment for the bitwise contract).
+// Also here: InvariantDivider, the reciprocal-multiply division the kernel's
+// share stage uses (see the class comment for the bitwise contract).
 #pragma once
 
 #include <cmath>
@@ -61,9 +61,9 @@ inline void largest_remainder_ranks_general(const double* frac,
 
 /// Largest-remainder rank counts (see file comment).  Preconditions:
 /// groups >= 1, sizes[g] >= 0, and frac[g] in [0, 1) -- the fractional
-/// part of a finite non-negative ideal share, which is what both callers
-/// (proportional_group_shares and the batched Stage B) compute.  Writes
-/// exactly `groups` entries of ranks_before.
+/// part of a finite non-negative ideal share, which is what the
+/// estimator's kernel computes.  Writes exactly `groups` entries of
+/// ranks_before.
 inline void largest_remainder_ranks(const double* frac, const int* sizes,
                                     int groups,
                                     std::int64_t* ranks_before) {
@@ -132,9 +132,9 @@ inline constexpr bool kInvariantDividerFused = true;
 inline constexpr bool kInvariantDividerFused = false;
 #endif
 
-/// Division by a loop-invariant divisor, as the batched share stage needs
-/// it: one real division (the reciprocal) amortised over a whole group of
-/// numerators, each served by two FMAs.
+/// Division by a loop-invariant divisor, as the kernel's share stage needs
+/// it: one real division (the reciprocal) amortised over every group's
+/// numerator, each served by two FMAs.
 ///
 /// Bitwise contract: divide(x) == x / d exactly.  With hardware FMA this
 /// holds by Markstein's round-to-nearest correction: r = RN(1/d) is the

@@ -262,8 +262,7 @@ ConfigRecoveryReport evaluate_config_recovery(
   // evaluations.  Probe order and the strict improvement bar match the
   // general partitioner's climb.
   EstimatorScratch scratch;
-  DeltaScratch& d = scratch.delta;
-  estimator.bind_delta(achieved, d, scratch);
+  estimator.bind_delta(achieved, scratch);
   const int total = config_total(achieved);
   double best_value = report.achieved_t_c_ms;
   int best_cluster = -1;
@@ -274,8 +273,7 @@ ConfigRecoveryReport evaluate_config_recovery(
       if (moved < 0 || moved > snapshot.available[c]) continue;
       if (total + delta == 0) continue;
       const double value =
-          estimator.estimate_delta(static_cast<ClusterId>(c), delta, d,
-                                   scratch)
+          estimator.estimate_delta(static_cast<ClusterId>(c), delta, scratch)
               .t_c_ms;
       if (value < best_value - 1e-12) {
         best_value = value;

@@ -90,9 +90,17 @@ std::int32_t WireReader::i32() { return static_cast<std::int32_t>(u32()); }
 std::int64_t WireReader::i64() { return static_cast<std::int64_t>(u64()); }
 double WireReader::f64() { return std::bit_cast<double>(u64()); }
 
+std::uint64_t WireReader::count(std::size_t element_bytes) {
+  const std::uint64_t n = u64();
+  // Compared as a quotient so a huge wire count cannot wrap the bound, and
+  // checked before the caller sizes a buffer by it.
+  NP_REQUIRE(n <= (bytes_.size() - pos_) / element_bytes,
+             "truncated fleet message");
+  return n;
+}
+
 std::string WireReader::str() {
-  const std::uint64_t len = u64();
-  NP_REQUIRE(pos_ + len <= bytes_.size(), "truncated fleet message");
+  const std::uint64_t len = count(1);
   std::string s(len, '\0');
   std::memcpy(s.data(), bytes_.data() + pos_, len);
   pos_ += len;
@@ -130,14 +138,18 @@ void encode_request_into(WireWriter& w, const svc::PartitionRequest& req) {
 
 svc::PartitionRequest decode_request_from(WireReader& r) {
   svc::PartitionRequest req;
-  req.kind = static_cast<svc::PartitionRequest::Kind>(r.u8());
+  const std::uint8_t kind = r.u8();
+  NP_REQUIRE(kind <= static_cast<std::uint8_t>(
+                         svc::PartitionRequest::Kind::Repartition),
+             "unknown fleet request kind");
+  req.kind = static_cast<svc::PartitionRequest::Kind>(kind);
   req.spec = r.str();
   req.n = r.i64();
   req.iterations = r.i32();
   req.options.search = r.u8() == 0 ? PartitionOptions::Search::Binary
                                    : PartitionOptions::Search::Linear;
   req.options.stop_at_partial_cluster = r.u8() != 0;
-  const std::uint64_t rates = r.u64();
+  const std::uint64_t rates = r.count(4);
   req.rate_milli.reserve(rates);
   for (std::uint64_t i = 0; i < rates; ++i) req.rate_milli.push_back(r.i32());
   return req;
@@ -222,15 +234,15 @@ svc::PartitionDecision decode_decision_from(WireReader& r) {
   d.epoch = r.u64();
   d.t_c_ms = r.f64();
   d.evaluations = r.u64();
-  const std::uint64_t ranks = r.u64();
+  const std::uint64_t ranks = r.count(8);
   std::vector<std::int64_t> per_rank;
   per_rank.reserve(ranks);
   for (std::uint64_t i = 0; i < ranks; ++i) per_rank.push_back(r.i64());
   d.partition = PartitionVector(std::move(per_rank));
-  const std::uint64_t clusters = r.u64();
+  const std::uint64_t clusters = r.count(4);
   d.config.reserve(clusters);
   for (std::uint64_t i = 0; i < clusters; ++i) d.config.push_back(r.i32());
-  const std::uint64_t placed = r.u64();
+  const std::uint64_t placed = r.count(8);
   d.placement.reserve(placed);
   for (std::uint64_t i = 0; i < placed; ++i) {
     ProcessorRef ref;

@@ -1,7 +1,6 @@
 #include "obs/telemetry.hpp"
 
 #include "analysis/race/annotations.hpp"
-#include "util/csv.hpp"
 #include "util/string_util.hpp"
 
 namespace netpart::obs {
@@ -118,31 +117,6 @@ JsonValue TelemetryRegistry::to_json() const {
   return JsonValue::object()
       .set("counters", std::move(counters))
       .set("latencies", std::move(latencies));
-}
-
-void TelemetryRegistry::write_csv(std::ostream& os) const {
-  std::lock_guard lock(metrics_mutex_);
-  NP_LOCK_SCOPE(&metrics_mutex_, "obs.telemetry.metrics_mutex");
-  NP_READ(&counters_, "obs.telemetry.counters");
-  CsvWriter csv(os, {"kind", "name", "field", "value"});
-  for (const auto& [name, c] : counters_) {
-    csv.write_row({"counter", name, "value", std::to_string(c->value())});
-  }
-  const auto row = [&csv](const std::string& name, const std::string& field,
-                          double v) {
-    csv.write_row({"latency", name, field, format_double(v, 3)});
-  };
-  for (const auto& [name, h] : latencies_) {
-    const QuantileSummary q = h->quantiles();
-    csv.write_row({"latency", name, "count", std::to_string(h->count())});
-    row(name, "mean_us", h->mean_us());
-    row(name, "min_us", h->min_us());
-    row(name, "max_us", h->max_us());
-    row(name, "p50_us", q.p50);
-    row(name, "p90_us", q.p90);
-    row(name, "p95_us", q.p95);
-    row(name, "p99_us", q.p99);
-  }
 }
 
 std::string TelemetryRegistry::metrics_text() const {

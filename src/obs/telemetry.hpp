@@ -23,7 +23,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -114,9 +113,6 @@ class TelemetryRegistry {
   /// {"counters": {name: value...},
   ///  "latencies": {name: {count, mean_us, min_us, max_us, p50_us...}}}
   JsonValue to_json() const;
-
-  /// Long-form rows: kind,name,field,value (one row per exported number).
-  void write_csv(std::ostream& os) const;
 
   /// Full metrics dump, one per line, name-ordered.  Counters render as
   /// "counter <name> <value>"; histograms add count/mean/min/max and the

@@ -3,10 +3,11 @@
 // One cycle: every rank initiates an asynchronous send of `bytes` to each of
 // its send-neighbours, then blocks until it has received from each of its
 // recv-neighbours.  The runner executes the cycle on the network simulator
-// and reports per-rank and maximum elapsed times.  The same program is used
-// for offline calibration (Section 3 of the paper) and inside the SPMD
-// executor, so the calibrated model measures exactly the code path the
-// application runs.
+// and reports per-rank and maximum elapsed times; offline calibration
+// (Section 3 of the paper) fits Eq. 1 to it.  The SPMD executor does not
+// call this runner: it has its own send/receive steps (exec/executor.cpp)
+// over the same simulator and the same topology message pattern
+// (topo/topology.hpp).
 #pragma once
 
 #include <cstdint>

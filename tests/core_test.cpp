@@ -2,12 +2,16 @@
 // estimator, and the partitioning heuristic.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "apps/gauss.hpp"
 #include "apps/stencil.hpp"
 #include "calib/calibrate.hpp"
 #include "core/decompose.hpp"
 #include "core/estimator.hpp"
+#include "core/general.hpp"
 #include "core/partitioner.hpp"
+#include "exec/adaptive.hpp"
 #include "net/builder.hpp"
 #include "net/presets.hpp"
 #include "util/error.hpp"
@@ -337,6 +341,159 @@ TEST(PartitionerTest, GaussChoosesFewProcessors) {
   CycleEstimator est(testbed(), testbed_db(), spec);
   const PartitionResult r = partition(est, all_idle(testbed()));
   EXPECT_LE(config_total(r.config), 4);
+}
+
+// ----------------------------------------------------- pinned searches
+
+/// One search's outcome as pinned: the chosen configuration, the bit
+/// pattern of its T_c, and its evaluation count.
+struct PinnedSearch {
+  ProcessorConfig config;
+  std::uint64_t t_c_bits;
+  std::uint64_t evaluations;
+};
+
+void expect_pinned(const char* what, const ProcessorConfig& config,
+                   double t_c_ms, std::uint64_t evaluations,
+                   const PinnedSearch& want) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(config, want.config);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(t_c_ms), want.t_c_bits)
+      << "t_c " << t_c_ms;
+  EXPECT_EQ(evaluations, want.evaluations);
+}
+
+ProcessorType pinned_type(const std::string& name, double flop_us,
+                          DataFormat format) {
+  ProcessorType t;
+  t.name = name;
+  t.flop_time = SimTime::micros(flop_us);
+  t.int_time = t.flop_time * 0.5;
+  t.comm_per_byte = SimTime::nanos(800);
+  t.comm_per_message = SimTime::micros(500);
+  t.data_format = format;
+  t.coerce_per_byte = SimTime::nanos(400);
+  return t;
+}
+
+/// 4 clusters x 6 processors over the Sparc2/IPC speed range, alternating
+/// data formats (the bench_partition_hotpath preset).
+Network pinned_grid() {
+  NetworkBuilder b;
+  b.bandwidth_bps(10e6);
+  b.frame_overhead(SimTime::micros(50));
+  b.router_delay(SimTime::nanos(600), SimTime::micros(100));
+  for (int i = 0; i < 4; ++i) {
+    const std::string name = "cpu" + std::to_string(i);
+    b.add_cluster(name,
+                  pinned_type(name, 0.1 + 0.1 * i,
+                              i % 2 == 0 ? DataFormat::BigEndian
+                                         : DataFormat::LittleEndian),
+                  6);
+  }
+  return b.build();
+}
+
+/// Two clusters 2000x apart in speed: near one PDU per processor the slow
+/// ranks' shares round to zero and the starvation repair engages.
+Network pinned_skew() {
+  NetworkBuilder b;
+  b.bandwidth_bps(10e6);
+  b.router_delay(SimTime::nanos(600), SimTime::micros(100));
+  b.add_cluster("fast", pinned_type("fast", 0.1, DataFormat::BigEndian), 4);
+  b.add_cluster("slow", pinned_type("slow", 200.0, DataFormat::BigEndian),
+                4);
+  return b.build();
+}
+
+/// A one-processor cluster beside a 5-processor farm: the singleton has
+/// no intra-cluster comm fit, so its segment is costed by the proxy.
+Network pinned_singleton() {
+  const std::vector<Cluster> clusters = {
+      Cluster(0, "lone", pinned_type("fast", 0.2, DataFormat::BigEndian), 0,
+              1),
+      Cluster(1, "farm", pinned_type("slow", 0.4, DataFormat::BigEndian), 1,
+              5)};
+  const std::vector<Segment> segments = {{0, 10e6, SimTime::micros(100)},
+                                         {1, 10e6, SimTime::micros(100)}};
+  const std::vector<RouterLink> routers = {
+      {0, 1, SimTime::nanos(600), SimTime::micros(50)}};
+  return Network(clusters, segments, routers);
+}
+
+TEST(PartitionerTest, PartitionerPinnedBitForBit) {
+  // Every search's result, T_c bit pattern and evaluation count, pinned
+  // on four networks: the paper testbed, the 4x6 grid, a starvation-skew
+  // pair and a singleton cluster without a comm fit.  Evaluation-engine
+  // changes must leave all of them exactly as they are.  The local best is
+  // evaluate_config_recovery's +/-1 repair of the all-available
+  // configuration; its evaluation count is the oracle sweep's.
+  struct Case {
+    const char* name;
+    Network (*network)();
+    int n;
+    PinnedSearch binary, linear, general, exhaustive, local_best;
+  };
+  const Case cases[] = {
+      {"paper", presets::paper_testbed, 600,
+       {{6, 3}, 4638237627992870976u, 9},
+       {{6, 3}, 4638237627992870976u, 14},
+       {{6, 3}, 4638237627992870976u, 82},
+       {{6, 3}, 4638237627992870976u, 49},
+       {{6, 5}, 4638796212430654578u, 49}},
+      {"grid", pinned_grid, 1200,
+       {{6, 6, 0, 0}, 4640748658044466550u, 15},
+       {{6, 6, 0, 0}, 4640748658044466550u, 21},
+       {{5, 4, 4, 5}, 4639990837443350018u, 388},
+       {{5, 4, 4, 5}, 4639990837443350018u, 2401},
+       {{6, 6, 6, 6}, 4640535389975931319u, 2401}},
+      {"skew", pinned_skew, 10,
+       {{1, 0}, 4587366580439587226u, 4},
+       {{1, 0}, 4587366580439587226u, 5},
+       {{1, 0}, 4587366580439587226u, 63},
+       {{1, 0}, 4587366580439587226u, 25},
+       {{4, 4}, 4624727592603979430u, 25}},
+      {"singleton", pinned_singleton, 600,
+       {{1, 5}, 4639658460069529891u, 5},
+       {{1, 5}, 4639658460069529891u, 8},
+       {{1, 5}, 4639658460069529891u, 66},
+       {{1, 5}, 4639658460069529891u, 12},
+       {{1, 5}, 4639658460069529891u, 12}},
+  };
+  CalibrationParams params;
+  params.topologies = {Topology::OneD};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Network net = c.network();
+    const CalibrationResult cal = calibrate(net, params);
+    const AvailabilitySnapshot snap = all_idle(net);
+    const ComputationSpec spec = apps::make_stencil_spec(
+        apps::StencilConfig{.n = c.n, .iterations = 10, .overlap = false});
+    const CycleEstimator est(net, cal.db, spec);
+
+    const PartitionResult binary = partition(est, snap);
+    expect_pinned("binary", binary.config, binary.estimate.t_c_ms,
+                  binary.evaluations, c.binary);
+    const PartitionResult linear = partition(
+        est, snap, {.search = PartitionOptions::Search::Linear});
+    expect_pinned("linear", linear.config, linear.estimate.t_c_ms,
+                  linear.evaluations, c.linear);
+    const PartitionResult general = general_partition(est, snap);
+    expect_pinned("general", general.config, general.estimate.t_c_ms,
+                  general.evaluations, c.general);
+    for (const int threads : {1, 4}) {
+      const PartitionResult sweep =
+          exhaustive_partition(est, snap, {.threads = threads});
+      expect_pinned(threads == 1 ? "exhaustive x1" : "exhaustive x4",
+                    sweep.config, sweep.estimate.t_c_ms, sweep.evaluations,
+                    c.exhaustive);
+    }
+    const ConfigRecoveryReport recovery =
+        evaluate_config_recovery(est, snap, config_all_available(snap));
+    expect_pinned("local best", recovery.local_best_config,
+                  recovery.local_best_t_c_ms, recovery.oracle_evaluations,
+                  c.local_best);
+  }
 }
 
 }  // namespace

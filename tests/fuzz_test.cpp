@@ -128,10 +128,10 @@ FastEstimate delta_walk(const CycleEstimator& est,
                         const ProcessorConfig& target,
                         EstimatorScratch& scratch) {
   DeltaScratch& d = scratch.delta;
-  FastEstimate last = est.estimate_delta(0, 0, d, scratch);
+  FastEstimate last = est.estimate_delta(0, 0, scratch);
   const auto step = [&](std::size_t c, int delta) {
-    last = est.estimate_delta(static_cast<ClusterId>(c), delta, d, scratch);
-    est.commit_delta(static_cast<ClusterId>(c), delta, d, scratch);
+    last = est.estimate_delta(static_cast<ClusterId>(c), delta, scratch);
+    est.commit_delta(static_cast<ClusterId>(c), delta, scratch);
   };
   for (;;) {
     for (std::size_t c = 0; c < target.size(); ++c) {
@@ -211,7 +211,7 @@ TEST(DegenerateInputs, SingleProcessorSegmentsStayFiniteAndBatchExact) {
   const std::vector<ProcessorConfig> configs = {
       {1, 0}, {1, 1}, {0, 5}, {1, 5}, {1, 3}, {0, 1}};
   EstimatorScratch delta_scratch;
-  est.bind_delta(configs.front(), delta_scratch.delta, delta_scratch);
+  est.bind_delta(configs.front(), delta_scratch);
   EstimatorScratch scalar_scratch;
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const FastEstimate got = delta_walk(est, configs[i], delta_scratch);
@@ -268,7 +268,7 @@ TEST_P(StarvationPressure, NoNanReachesTheObjectiveCache) {
       if (config_total(config) <= n) fitting.push_back(config);
     }
     if (fitting.empty()) continue;
-    est.bind_delta(fitting.front(), delta_scratch.delta, delta_scratch);
+    est.bind_delta(fitting.front(), delta_scratch);
     for (std::size_t i = 0; i < fitting.size(); ++i) {
       const FastEstimate got = delta_walk(est, fitting[i], delta_scratch);
       const FastEstimate want =
@@ -321,6 +321,63 @@ TEST(DegenerateInputs, TruncatedTraceContextBytesThrowInsteadOfCrashing) {
     fleet::WireReader r(payload);
     EXPECT_THROW((void)fleet::decode_trace_context_from(r), InvalidArgument)
         << "length " << bogus;
+  }
+}
+
+TEST(DegenerateInputs, WireLengthsAndCountsAreCheckedBeforeAllocating) {
+  // Every length or element count on the wire is checked against the
+  // bytes left before anything is sized by it: a string length near 2^64
+  // must not wrap the bound (it threw std::length_error), and a count must
+  // not reach reserve() (2^62 threw std::length_error; 2^26 reserved
+  // 512 MB before the truncation showed).  A request kind the format does
+  // not define is rejected too.  Each is a peer bug: InvalidArgument.
+  const auto forward_header = [] {
+    fleet::WireWriter w;
+    w.i32(1).u64(42).i32(7).u64(0);  // from, key, reply tag, no context
+    return w;
+  };
+  const auto padded = [](fleet::WireWriter& w) {
+    for (int i = 0; i < 32; ++i) w.u8(0);
+    return w.take();
+  };
+  {
+    fleet::WireWriter w = forward_header();
+    w.u8(0).u64(std::numeric_limits<std::uint64_t>::max() - 20);
+    const std::vector<std::byte> bytes = padded(w);
+    EXPECT_THROW((void)fleet::decode_forward(bytes), InvalidArgument);
+  }
+  for (const int kind : {2, 255}) {
+    fleet::WireWriter w = forward_header();
+    w.u8(static_cast<std::uint8_t>(kind))
+        .str("stencil")
+        .i64(256)
+        .i32(4)
+        .u8(0)
+        .u8(0)
+        .u64(0);
+    const std::vector<std::byte> bytes = w.take();
+    EXPECT_THROW((void)fleet::decode_forward(bytes), InvalidArgument)
+        << "kind " << kind;
+  }
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 62, std::uint64_t{1} << 26}) {
+    fleet::WireWriter w = forward_header();
+    w.u8(1).str("job").i64(256).i32(4).u8(0).u8(0).u64(count);
+    const std::vector<std::byte> bytes = padded(w);
+    EXPECT_THROW((void)fleet::decode_forward(bytes), InvalidArgument)
+        << "rate count " << count;
+
+    // A decision's three counts: per-rank shares, config, placement.
+    for (int field = 0; field < 3; ++field) {
+      fleet::WireWriter d;
+      d.u64(9).u64(3).f64(1.5).u64(12);
+      d.u64(field == 0 ? count : 1).i64(256);
+      if (field >= 1) d.u64(field == 1 ? count : 1).i32(1);
+      if (field == 2) d.u64(count).i32(0).i32(0);
+      const std::vector<std::byte> decision = padded(d);
+      EXPECT_THROW((void)fleet::decode_decision(decision), InvalidArgument)
+          << "count " << count << " field " << field;
+    }
   }
 }
 

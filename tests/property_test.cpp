@@ -349,45 +349,120 @@ TEST(ExhaustiveTieBreak, GrayOrderKeepsOdometerFirstMinimum) {
   }
 }
 
+/// Feed one group-share draw -- `sizes[g]` ranks sharing weight
+/// `weights[g]`, `pdus` PDUs -- to the closed-form kernel: a network of one
+/// cluster per group (flop time 1000/w ns, so the weights' ratios carry
+/// over up to nanosecond rounding), a synthetic cost model, and a spec
+/// whose message size grows with A_i, every processor selected.  Checks
+/// estimate_into() against estimate() on every cost field, and the
+/// kernel's staged shares against the materialised Eq. 3 vector: each
+/// group's max A always, and -- where the closed form served the draw --
+/// the full per-rank pattern (the group's first `extras` ranks carry
+/// base+1, the rest base).  *closed_form reports whether it served (a
+/// delta probe counts only closed-form results), false = starvation
+/// repair.
+void check_group_share_draw(const std::vector<double>& weights,
+                            const std::vector<int>& sizes,
+                            std::int64_t pdus, bool* closed_form) {
+  NetworkBuilder b;
+  b.bandwidth_bps(10e6);
+  b.router_delay(SimTime::nanos(600), SimTime::micros(100));
+  for (std::size_t g = 0; g < weights.size(); ++g) {
+    ProcessorType type;
+    type.name = "g" + std::to_string(g);
+    type.flop_time = SimTime::nanos(
+        std::max<std::int64_t>(1, std::llround(1000.0 / weights[g])));
+    type.int_time = type.flop_time;
+    type.comm_per_byte = SimTime::nanos(800);
+    type.comm_per_message = SimTime::micros(500);
+    b.add_cluster(type.name, type, sizes[g]);
+  }
+  const Network net = b.build();
+  CostModelDb db(net.num_clusters());
+  for (ClusterId c = 0; c < net.num_clusters(); ++c) {
+    db.set_comm(c, Topology::OneD,
+                Eq1Fit{0.5 + 0.1 * c, 0.05, 0.001, 0.0002 * (c + 1), 1.0});
+    for (ClusterId o = c + 1; o < net.num_clusters(); ++o) {
+      db.set_router(c, o, LineFit{0.0003, 0.2, 1.0});
+    }
+  }
+  ComputationPhaseSpec compute;
+  compute.name = "compute";
+  compute.num_pdus = [pdus] { return pdus; };
+  compute.ops_per_pdu = [] { return 100.0; };
+  CommunicationPhaseSpec comm;
+  comm.name = "exchange";
+  comm.topology = [] { return Topology::OneD; };
+  comm.bytes_per_message = [](std::int64_t a) { return 64 + 8 * a; };
+  const ComputationSpec spec("group_shares", {compute}, {comm}, 10);
+  const CycleEstimator est(net, db, spec);
+
+  const ProcessorConfig config(sizes.begin(), sizes.end());
+  const CycleEstimate ref = est.estimate(config);
+  EstimatorScratch scratch;
+  const FastEstimate fast = est.estimate_into(config, scratch);
+  ASSERT_EQ(ref.t_comp_ms, fast.t_comp_ms);
+  ASSERT_EQ(ref.t_comm_ms, fast.t_comm_ms);
+  ASSERT_EQ(ref.t_overlap_ms, fast.t_overlap_ms);
+  ASSERT_EQ(ref.t_c_ms, fast.t_c_ms);
+  ASSERT_EQ(ref.t_elapsed_ms, fast.t_elapsed_ms);
+
+  ASSERT_EQ(scratch.staged_groups, static_cast<int>(sizes.size()));
+  std::int64_t remainder = pdus;
+  for (int g = 0; g < scratch.staged_groups; ++g) {
+    remainder -= scratch.stage_base[static_cast<std::size_t>(g)] *
+                 scratch.stage_p[static_cast<std::size_t>(g)];
+  }
+  // Whether the closed form served: a zero move re-scores the same
+  // configuration and counts as a delta evaluation only when it did.
+  est.bind_delta(config, scratch);
+  const std::uint64_t delta_before = scratch.delta_evaluations;
+  const FastEstimate probe = est.estimate_delta(0, 0, scratch);
+  ASSERT_EQ(ref.t_c_ms, probe.t_c_ms);
+  *closed_form = scratch.delta_evaluations == delta_before + 1;
+
+  int rank = 0;
+  for (int g = 0; g < scratch.staged_groups; ++g) {
+    const auto gi = static_cast<std::size_t>(g);
+    const int p = scratch.stage_p[gi];
+    const std::int64_t base = scratch.stage_base[gi];
+    const std::int64_t extras = std::clamp<std::int64_t>(
+        remainder - scratch.stage_rb[gi], 0, p);
+    std::int64_t max_a = 0;
+    for (int i = 0; i < p; ++i, ++rank) {
+      max_a = std::max(max_a, ref.partition.at(rank));
+      if (*closed_form) {
+        ASSERT_EQ(ref.partition.at(rank), base + (i < extras ? 1 : 0))
+            << "group " << g << " rank " << rank;
+      }
+    }
+    ASSERT_EQ(scratch.stage_max_a[gi], max_a) << "group " << g;
+  }
+}
+
 TEST(GroupShares, MatchesProportionalPartitionExactly) {
-  // proportional_group_shares must reproduce, per homogeneous group, the
-  // exact per-rank assignment of proportional_partition: the first
-  // `extras` ranks of a group carry base+1, the rest base.
+  // The kernel's closed-form Eq. 3 shares must reproduce, per homogeneous
+  // group, the exact per-rank assignment of proportional_partition (which
+  // estimate() materialises): the first `extras` ranks of a group carry
+  // base+1, the rest base.
   Rng rng(0x5A5A);
   int closed_form = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const int groups = static_cast<int>(rng.next_int(1, 6));
     std::vector<double> group_weights;
     std::vector<int> group_sizes;
-    std::vector<double> rank_weights;
     int total_ranks = 0;
     for (int g = 0; g < groups; ++g) {
       group_weights.push_back(0.1 + 10.0 * rng.next_double());
       group_sizes.push_back(static_cast<int>(rng.next_int(1, 5)));
       total_ranks += group_sizes.back();
-      for (int i = 0; i < group_sizes.back(); ++i) {
-        rank_weights.push_back(group_weights.back());
-      }
     }
     const std::int64_t pdus = rng.next_int(total_ranks, 4000);
-    std::vector<GroupShare> shares(static_cast<std::size_t>(groups));
-    const PartitionVector pv = proportional_partition(rank_weights, pdus);
-    if (!proportional_group_shares(group_weights, group_sizes, pdus,
-                                   shares)) {
-      continue;  // starvation repair engaged; callers materialise
-    }
-    ++closed_form;
-    int rank = 0;
-    for (int g = 0; g < groups; ++g) {
-      for (int i = 0; i < group_sizes[static_cast<std::size_t>(g)];
-           ++i, ++rank) {
-        const std::int64_t expected =
-            shares[static_cast<std::size_t>(g)].base +
-            (i < shares[static_cast<std::size_t>(g)].extras ? 1 : 0);
-        ASSERT_EQ(pv.at(rank), expected)
-            << "trial " << trial << " group " << g << " rank " << rank;
-      }
-    }
+    bool served = false;
+    ASSERT_NO_FATAL_FAILURE(
+        check_group_share_draw(group_weights, group_sizes, pdus, &served))
+        << "trial " << trial;
+    if (served) ++closed_form;
   }
   // The closed form must cover the overwhelming majority of draws.
   EXPECT_GT(closed_form, 350);
@@ -520,12 +595,15 @@ TEST(RankKernel, InvariantDividerBitwiseMatchesDivision) {
 }
 
 TEST(GroupShares, StarvationEdges) {
-  // The closed form must refuse exactly when a rank would starve: base 0
-  // with fewer extras than ranks.  Pin both sides of the edge.
+  // The closed form must refuse exactly when a rank would starve (base 0
+  // with fewer extras than ranks) and hand the draw to the starvation
+  // repair, which must still agree bitwise with estimate().  Pin both
+  // sides of the edge.
   const auto run = [](std::vector<double> w, std::vector<int> sz,
                       std::int64_t pdus) {
-    std::vector<GroupShare> shares(w.size());
-    return proportional_group_shares(w, sz, pdus, shares);
+    bool served = false;
+    check_group_share_draw(w, sz, pdus, &served);
+    return served;
   };
   // pdus == total ranks with equal weights: every rank gets exactly one
   // (base 0, extras == size everywhere) -- no starvation.
@@ -536,7 +614,7 @@ TEST(GroupShares, StarvationEdges) {
   // Same weights, enough PDUs that the small group's base rises above 0.
   EXPECT_TRUE(run({1000.0, 0.001}, {2, 2}, 4000000));
   // Starvation must also be detected past the 4-group sorting network, on
-  // the inline quadratic path.
+  // the rank kernel's quadratic path.
   EXPECT_FALSE(
       run({100.0, 100.0, 100.0, 100.0, 0.001}, {1, 1, 1, 1, 2}, 7));
 }
@@ -608,7 +686,7 @@ TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
         total += config[static_cast<std::size_t>(c)];
       }
     }
-    const FastEstimate bound = est.bind_delta(config, d, scratch);
+    const FastEstimate bound = est.bind_delta(config, scratch);
     const FastEstimate bound_ref = est.estimate_into(config, ref_scratch);
     ASSERT_EQ(bound.t_c_ms, bound_ref.t_c_ms);
 
@@ -628,7 +706,7 @@ TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
           legal.emplace_back(c, delta);
           const std::uint64_t delta_evals = scratch.delta_evaluations;
           const FastEstimate got =
-              est.estimate_delta(c, delta, d, scratch);
+              est.estimate_delta(c, delta, scratch);
           // Only the starvation fallback leaves the delta count alone.
           if (scratch.delta_evaluations == delta_evals) {
             starved.emplace_back(c, delta);
@@ -675,14 +753,14 @@ TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
         ++last_probe_committed;
       }
       const auto [cc, cd] = commit;
-      est.estimate_delta(last.first, last.second, d, scratch);
-      est.commit_delta(cc, cd, d, scratch);
+      est.estimate_delta(last.first, last.second, scratch);
+      est.commit_delta(cc, cd, scratch);
       config[static_cast<std::size_t>(cc)] += cd;
       total += cd;
       // After a commit the cache must be the one a fresh bind builds, and
       // the new baseline must itself score bitwise.
       EstimatorScratch fresh;
-      est.bind_delta(config, fresh.delta, fresh);
+      est.bind_delta(config, fresh);
       ASSERT_EQ(d.config, fresh.delta.config);
       ASSERT_EQ(d.total_p, fresh.delta.total_p);
       ASSERT_EQ(d.group_c, fresh.delta.group_c);
@@ -690,9 +768,9 @@ TEST_P(DeltaEvalProperties, DeltaBitwiseMatchesFromScratch) {
       ASSERT_EQ(d.group_w, fresh.delta.group_w);
       ASSERT_EQ(d.prefix_w, fresh.delta.prefix_w)
           << "seed " << GetParam().seed << " move " << move;
-      const FastEstimate rebased = est.estimate_delta(cc, 0, d, scratch);
+      const FastEstimate rebased = est.estimate_delta(cc, 0, scratch);
       const FastEstimate rebased_fresh =
-          est.estimate_delta(cc, 0, fresh.delta, fresh);
+          est.estimate_delta(cc, 0, fresh);
       const FastEstimate rebased_ref =
           est.estimate_into(config, ref_scratch);
       ASSERT_EQ(rebased.t_c_ms, rebased_fresh.t_c_ms)
@@ -723,27 +801,67 @@ TEST(DeltaEval, EmptyAndRefillCluster) {
       apps::StencilConfig{.n = 600, .iterations = 10, .overlap = false});
   CycleEstimator est(net, cal.db, spec);
   EstimatorScratch scratch;
-  DeltaScratch& d = scratch.delta;
   EstimatorScratch ref_scratch;
 
-  est.bind_delta({1, 1}, d, scratch);
-  const FastEstimate drained = est.estimate_delta(0, -1, d, scratch);
+  est.bind_delta({1, 1}, scratch);
+  const FastEstimate drained = est.estimate_delta(0, -1, scratch);
   const FastEstimate drained_ref = est.estimate_into({0, 1}, ref_scratch);
   EXPECT_EQ(drained.t_c_ms, drained_ref.t_c_ms);
   EXPECT_EQ(drained.t_comm_ms, drained_ref.t_comm_ms);
 
-  est.commit_delta(0, -1, d, scratch);  // baseline now {0, 1}
-  const FastEstimate refilled = est.estimate_delta(0, +1, d, scratch);
+  est.commit_delta(0, -1, scratch);  // baseline now {0, 1}
+  const FastEstimate refilled = est.estimate_delta(0, +1, scratch);
   const FastEstimate refilled_ref = est.estimate_into({1, 1}, ref_scratch);
   EXPECT_EQ(refilled.t_c_ms, refilled_ref.t_c_ms);
   EXPECT_EQ(refilled.t_comm_ms, refilled_ref.t_comm_ms);
 
   // Draining the only remaining cluster must be rejected, and the
   // capacity edge must hold on the high side too.
-  EXPECT_THROW(est.estimate_delta(1, -1, d, scratch), Error);
-  est.commit_delta(0, +1, d, scratch);  // baseline {1, 1}
-  EXPECT_THROW(est.estimate_delta(0, net.cluster(0).size(), d, scratch),
+  EXPECT_THROW(est.estimate_delta(1, -1, scratch), Error);
+  est.commit_delta(0, +1, scratch);  // baseline {1, 1}
+  EXPECT_THROW(est.estimate_delta(0, net.cluster(0).size(), scratch),
                Error);
+}
+
+TEST(DeltaEval, ForeignEstimateIntoBetweenProbeAndCommit) {
+  // One scratch serving two estimators: estimate_into() of another
+  // estimator rebinds the scratch's tables and restages the kernel's
+  // groups.  A probe after it must run on this estimator's tables again,
+  // and a commit of a move probed before it must regather instead of
+  // adopting the foreign staging -- bitwise a fresh scratch's.
+  const Network net = presets::paper_testbed();
+  CalibrationParams params;
+  params.topologies = {Topology::OneD};
+  const CalibrationResult cal = calibrate(net, params);
+  const ComputationSpec spec = apps::make_stencil_spec(
+      apps::StencilConfig{.n = 600, .iterations = 10, .overlap = false});
+  const ComputationSpec other_spec = apps::make_stencil_spec(
+      apps::StencilConfig{.n = 2400, .iterations = 3, .overlap = true});
+  const CycleEstimator est(net, cal.db, spec);
+  const CycleEstimator other(net, cal.db, other_spec);
+  EstimatorScratch scratch;
+  EstimatorScratch ref_scratch;
+
+  est.bind_delta({2, 1}, scratch);
+  other.estimate_into({5, 4}, scratch);
+  const FastEstimate moved = est.estimate_delta(0, +1, scratch);
+  const FastEstimate moved_ref = est.estimate_into({3, 1}, ref_scratch);
+  EXPECT_EQ(moved.t_comp_ms, moved_ref.t_comp_ms);
+  EXPECT_EQ(moved.t_comm_ms, moved_ref.t_comm_ms);
+  EXPECT_EQ(moved.t_c_ms, moved_ref.t_c_ms);
+  other.estimate_into({5, 4}, scratch);
+  est.commit_delta(0, +1, scratch);  // baseline now {3, 1}
+  EstimatorScratch fresh;
+  est.bind_delta({3, 1}, fresh);
+  EXPECT_EQ(scratch.delta.config, fresh.delta.config);
+  EXPECT_EQ(scratch.delta.group_c, fresh.delta.group_c);
+  EXPECT_EQ(scratch.delta.group_p, fresh.delta.group_p);
+  EXPECT_EQ(scratch.delta.prefix_w, fresh.delta.prefix_w);
+  const FastEstimate probe = est.estimate_delta(1, +1, scratch);
+  const FastEstimate want = est.estimate_into({3, 2}, ref_scratch);
+  EXPECT_EQ(probe.t_comp_ms, want.t_comp_ms);
+  EXPECT_EQ(probe.t_comm_ms, want.t_comm_ms);
+  EXPECT_EQ(probe.t_c_ms, want.t_c_ms);
 }
 
 TEST(DeltaEval, CountsEvaluationsAndRequiresBinding) {
@@ -755,13 +873,12 @@ TEST(DeltaEval, CountsEvaluationsAndRequiresBinding) {
       apps::StencilConfig{.n = 600, .iterations = 10, .overlap = false});
   CycleEstimator est(net, cal.db, spec);
   EstimatorScratch scratch;
-  DeltaScratch& d = scratch.delta;
-  EXPECT_THROW(est.estimate_delta(0, 1, d, scratch), Error);
+  EXPECT_THROW(est.estimate_delta(0, 1, scratch), Error);
 
-  est.bind_delta({3, 2}, d, scratch);
+  est.bind_delta({3, 2}, scratch);
   const std::uint64_t evals_after_bind = scratch.evaluations;
-  est.estimate_delta(0, 1, d, scratch);
-  est.estimate_delta(1, -1, d, scratch);
+  est.estimate_delta(0, 1, scratch);
+  est.estimate_delta(1, -1, scratch);
   EXPECT_EQ(scratch.evaluations, evals_after_bind + 2);
   EXPECT_GE(scratch.delta_evaluations, 0u);
 }
