@@ -139,7 +139,7 @@ void protocol_study(JsonValue& root) {
     sim::FaultInjector injector(sim, plan);
     injector.arm();
     const mmps::ProtocolResult result =
-        mmps::run_fault_tolerant_protocol(sim, managers);
+        mmps::run_availability_protocol(sim, managers);
 
     std::string dead = "none";
     if (!result.dead.empty()) {

@@ -210,11 +210,11 @@ void recovery_study(bool smoke, JsonValue& root, bool& gate_warm,
   const std::uint64_t blind_failovers =
       bed.fl.stats().failovers - failovers_before;
 
-  // Now the PR 1 token ring reports the death; routing excludes the dead
-  // node and failovers stop.
+  // Now the availability token ring reports the death; routing excludes
+  // the dead node and failovers stop.
   const std::vector<ClusterManager> managers = make_managers(bed.net, {});
   const mmps::ProtocolResult avail =
-      mmps::run_fault_tolerant_protocol(bed.sim, managers);
+      mmps::run_availability_protocol(bed.sim, managers);
   bed.fl.report_dead_peers(avail.dead);
   const std::uint64_t reported_failovers_before = bed.fl.stats().failovers;
   const fleet::WorkloadResult routed = fleet::run_workload(bed.fl, w);

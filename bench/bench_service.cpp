@@ -94,8 +94,8 @@ constexpr int kComputeRequests = 4096;
 /// Cold-only throughput: `clients` threads each synchronously querying a
 /// disjoint slice of distinct keys against a fresh service that runs at
 /// most `workers` cold computes at once.  With `manager_rpc` each cold
-/// decision first sleeps kManagerRpc; without it the service runs its own
-/// cold path and the figure is compute-bound.
+/// decision's spec resolve first sleeps kManagerRpc; without it the figure
+/// is compute-bound.
 double cold_throughput_rps(const Network& net, const CostModelDb& db,
                            int workers, int clients, int total_requests,
                            bool manager_rpc) {
@@ -103,25 +103,14 @@ double cold_throughput_rps(const Network& net, const CostModelDb& db,
   svc::ServiceOptions options;
   options.workers = workers;
   options.queue_capacity = static_cast<std::size_t>(total_requests);
+  svc::SpecResolver resolver = resolve_stencil;
   if (manager_rpc) {
-    options.cold_override = [&net, &db](
-                                const svc::PartitionRequest& request,
-                                const AvailabilitySnapshot& snapshot) {
+    resolver = [](const svc::PartitionRequest& request) {
       std::this_thread::sleep_for(kManagerRpc);
-      svc::PartitionDecision decision;
-      const ComputationSpec spec = resolve_stencil(request);
-      const CycleEstimator estimator(net, db, spec);
-      PartitionResult result =
-          partition(estimator, snapshot, request.options);
-      decision.partition = std::move(result.estimate.partition);
-      decision.config = std::move(result.config);
-      decision.placement = std::move(result.placement);
-      decision.t_c_ms = result.estimate.t_c_ms;
-      decision.evaluations = result.evaluations;
-      return decision;
+      return resolve_stencil(request);
     };
   }
-  svc::PartitionService service(net, db, feed, resolve_stencil, options);
+  svc::PartitionService service(net, db, feed, std::move(resolver), options);
 
   const int per_client = total_requests / clients;
   const auto t0 = Clock::now();

@@ -162,11 +162,11 @@ int run(const Config& args) {
     sim.host(ProcessorRef{crash, 0}).crash();
     const double warm = fl.warm_fraction_for(crash);
 
-    // The PR 1 fault-tolerant token ring detects the dead manager; its
+    // The acknowledged token ring detects the dead manager; its
     // report feeds every surviving peer table.
     const std::vector<ClusterManager> managers = make_managers(net, {});
     const mmps::ProtocolResult avail =
-        mmps::run_fault_tolerant_protocol(sim, managers);
+        mmps::run_availability_protocol(sim, managers);
     fl.report_dead_peers(avail.dead);
 
     const std::uint64_t failovers_before = s.failovers;

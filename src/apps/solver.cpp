@@ -39,27 +39,20 @@ ComputationSpec make_solver_spec(const SolverConfig& config) {
 
 namespace {
 
-/// One Jacobi sweep over global rows [glo, ghi) of `block`, from `cur`
-/// into `next`; returns the residual contribution.  Boundary rows/columns
-/// are fixed.
-double sweep_rows(RowBlock& block, int glo, int ghi) {
+/// One Jacobi sweep of `block` (the shared row kernel); returns the
+/// residual contribution, the summed change of every inner point.
+double sweep_rows(RowBlock& block) {
+  block.relax(block.lo, block.hi);
   const int n = block.n;
   double residual = 0.0;
-  for (int row = glo; row < ghi; ++row) {
-    if (row == 0 || row == n - 1) continue;
+  for (int row = std::max(block.lo, 1); row < std::min(block.hi, n - 1);
+       ++row) {
     const int lr = row - block.lo + 1;
-    const float* above = block.row(block.cur, lr - 1);
-    const float* here = block.row(block.cur, lr);
-    const float* below = block.row(block.cur, lr + 1);
-    float* out = block.row(block.next, lr);
-    out[0] = here[0];
-    out[n - 1] = here[n - 1];
+    const float* before = block.row(block.cur, lr);
+    const float* after = block.row(block.next, lr);
     for (int j = 1; j < n - 1; ++j) {
-      const float v =
-          0.25f * (above[j] + below[j] + here[j - 1] + here[j + 1]);
-      out[j] = v;
-      residual += std::abs(static_cast<double>(v) -
-                           static_cast<double>(here[j]));
+      residual += std::abs(static_cast<double>(after[j]) -
+                           static_cast<double>(before[j]));
     }
   }
   return residual;
@@ -77,7 +70,7 @@ std::vector<double> run_sequential_solver(const SolverConfig& config,
   RowBlock block(grid, n, 0, n);
   std::vector<double> residuals;
   for (int it = 0; it < config.iterations; ++it) {
-    residuals.push_back(sweep_rows(block, 0, n));
+    residuals.push_back(sweep_rows(block));
     block.advance();
   }
   block.gather(grid);
@@ -172,7 +165,7 @@ class SolverRunner {
   void do_sweep(int rank) {
     SolverRank& sr = ranks_[static_cast<std::size_t>(rank)];
     RowBlock& b = blocks_[static_cast<std::size_t>(rank)];
-    sr.own_residual = sweep_rows(b, b.lo, b.hi);
+    sr.own_residual = sweep_rows(b);
     b.advance();
     rt_.compute(rank, rt_.flop_ms(rank) * 6.0 * n_ * b.rows(),
                 [this, &sr, rank] {

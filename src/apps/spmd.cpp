@@ -129,6 +129,24 @@ RowBlock::RowBlock(const std::vector<float>& grid, int cols, int first,
   next = cur;
 }
 
+int RowBlock::relax(int first, int last) {
+  first = std::max({first, lo, 1});
+  last = std::min({last, hi, n - 1});
+  for (int g = first; g < last; ++g) {
+    const int lr = g - lo + 1;
+    const float* above = row(cur, lr - 1);
+    const float* here = row(cur, lr);
+    const float* below = row(cur, lr + 1);
+    float* out = row(next, lr);
+    out[0] = here[0];
+    out[n - 1] = here[n - 1];
+    for (int j = 1; j < n - 1; ++j) {
+      out[j] = 0.25f * (above[j] + below[j] + here[j - 1] + here[j + 1]);
+    }
+  }
+  return std::max(0, last - first);
+}
+
 void RowBlock::advance() {
   if (lo == 0) {
     std::copy_n(row(cur, 1), n, row(next, 1));

@@ -108,6 +108,11 @@ struct RowBlock {
   const float* row(const std::vector<float>& buf, int local_row) const {
     return buf.data() + static_cast<std::ptrdiff_t>(local_row) * n;
   }
+  /// The 5-point update of the owned global rows in [first, last): each
+  /// inner point of `next` becomes the mean of its four neighbours in
+  /// `cur`, and the two boundary columns carry over.  The fixed global
+  /// boundary rows are skipped.  Returns the number of rows updated.
+  int relax(int first, int last);
   /// End a sweep: the fixed global boundary rows this block owns carry
   /// over unchanged into `next`, which becomes current.
   void advance();

@@ -74,30 +74,16 @@ std::vector<float> make_initial_grid(int n) {
   return grid;
 }
 
-void sequential_sweep(std::vector<float>& grid, std::vector<float>& scratch,
-                      int n) {
-  NP_REQUIRE(grid.size() == static_cast<std::size_t>(n) * n,
-             "grid size mismatch");
-  scratch = grid;
-  const auto at = [n](const std::vector<float>& g, int i, int j) {
-    return g[static_cast<std::size_t>(i) * n + j];
-  };
-  for (int i = 1; i < n - 1; ++i) {
-    for (int j = 1; j < n - 1; ++j) {
-      scratch[static_cast<std::size_t>(i) * n + j] =
-          0.25f * (at(grid, i - 1, j) + at(grid, i + 1, j) +
-                   at(grid, i, j - 1) + at(grid, i, j + 1));
-    }
-  }
-  grid.swap(scratch);
-}
-
 std::vector<float> run_sequential(const StencilConfig& config) {
   std::vector<float> grid = make_initial_grid(config.n);
-  std::vector<float> scratch;
+  // The whole grid as one ghost-row block: the same row kernel as the
+  // distributed paths (ghosts stay zero and are never read).
+  RowBlock block(grid, config.n, 0, config.n);
   for (int it = 0; it < config.iterations; ++it) {
-    sequential_sweep(grid, scratch, config.n);
+    block.relax(0, config.n);
+    block.advance();
   }
+  block.gather(grid);
   return grid;
 }
 
@@ -182,24 +168,7 @@ class StencilRunner {
   /// Relax owned global rows [glo, ghi) into `next`, charging host time at
   /// 5 flops per point, then invoke the continuation.
   void compute_rows(int rank, int glo, int ghi, SpmdRuntime::Step done) {
-    RowBlock& b = block(rank);
-    glo = std::max(glo, b.lo);
-    ghi = std::min(ghi, b.hi);
-    int updated = 0;
-    for (int row = glo; row < ghi; ++row) {
-      if (row == 0 || row == n_ - 1) continue;  // fixed global boundary
-      ++updated;
-      const int lr = row - b.lo + 1;
-      const float* above = b.row(b.cur, lr - 1);
-      const float* here = b.row(b.cur, lr);
-      const float* below = b.row(b.cur, lr + 1);
-      float* out = b.row(b.next, lr);
-      out[0] = here[0];
-      out[n_ - 1] = here[n_ - 1];
-      for (int j = 1; j < n_ - 1; ++j) {
-        out[j] = 0.25f * (above[j] + below[j] + here[j - 1] + here[j + 1]);
-      }
-    }
+    const int updated = block(rank).relax(glo, ghi);
     rt_.compute(rank, rt_.flop_ms(rank) * 5.0 * n_ * updated,
                 std::move(done));
   }
@@ -263,65 +232,35 @@ ThreadedStencilResult run_threaded_stencil(const Network& network,
 
   const auto t0 = std::chrono::steady_clock::now();
   threaded::run_spmd(p, [&](GlobalRank rank, threaded::Comm& comm) {
-    const int lo = static_cast<int>(ranges[static_cast<std::size_t>(rank)]
-                                        .first);
-    const int hi = static_cast<int>(ranges[static_cast<std::size_t>(rank)]
-                                        .second);
-    const int rows = hi - lo;
-    std::vector<float> cur(static_cast<std::size_t>(rows + 2) * n, 0.0f);
-    for (int row = lo; row < hi; ++row) {
-      std::copy_n(init.begin() + static_cast<std::ptrdiff_t>(row) * n, n,
-                  cur.begin() +
-                      static_cast<std::ptrdiff_t>(row - lo + 1) * n);
-    }
-    std::vector<float> next = cur;
-    const auto row_at = [&](std::vector<float>& buf, int local) {
-      return buf.data() + static_cast<std::ptrdiff_t>(local) * n;
-    };
+    const auto [lo, hi] = ranges[static_cast<std::size_t>(rank)];
+    RowBlock b(init, n, static_cast<int>(lo), static_cast<int>(hi));
 
     for (int iter = 0; iter < config.iterations; ++iter) {
       // Exchange borders (STEN-1 structure).
       if (rank > 0) {
         comm.send(rank, rank - 1, iter,
                   mmps::encode_array(
-                      std::span<const float>(row_at(cur, 1), n)));
+                      std::span<const float>(b.row(b.cur, 1), n)));
       }
       if (rank + 1 < p) {
         comm.send(rank, rank + 1, iter,
                   mmps::encode_array(
-                      std::span<const float>(row_at(cur, rows), n)));
+                      std::span<const float>(b.row(b.cur, b.rows()), n)));
       }
       if (rank > 0) {
         const auto ghost = mmps::decode_array<float>(
             comm.recv(rank, rank - 1, iter).payload);
-        std::copy(ghost.begin(), ghost.end(), row_at(cur, 0));
+        std::copy(ghost.begin(), ghost.end(), b.row(b.cur, 0));
       }
       if (rank + 1 < p) {
         const auto ghost = mmps::decode_array<float>(
             comm.recv(rank, rank + 1, iter).payload);
-        std::copy(ghost.begin(), ghost.end(), row_at(cur, rows + 1));
+        std::copy(ghost.begin(), ghost.end(), b.row(b.cur, b.rows() + 1));
       }
 
-      // Compute (the same arithmetic as the simulator path).
-      int updated = 0;
-      for (int row = lo; row < hi; ++row) {
-        if (row == 0 || row == n - 1) continue;
-        ++updated;
-        const int lr = row - lo + 1;
-        const float* above = row_at(cur, lr - 1);
-        const float* here = row_at(cur, lr);
-        const float* below = row_at(cur, lr + 1);
-        float* out = row_at(next, lr);
-        out[0] = here[0];
-        out[n - 1] = here[n - 1];
-        for (int j = 1; j < n - 1; ++j) {
-          out[j] =
-              0.25f * (above[j] + below[j] + here[j - 1] + here[j + 1]);
-        }
-      }
-      if (lo == 0) std::copy_n(row_at(cur, 1), n, row_at(next, 1));
-      if (hi == n) std::copy_n(row_at(cur, rows), n, row_at(next, rows));
-      cur.swap(next);
+      // Compute (the same row kernel as the simulator path).
+      const int updated = b.relax(b.lo, b.hi);
+      b.advance();
 
       // Emulate the slower machine models with extra spin work.
       const double extra =
@@ -332,13 +271,7 @@ ThreadedStencilResult run_threaded_stencil(const Network& network,
     }
 
     const std::lock_guard<std::mutex> lock(grid_mutex);
-    for (int row = lo; row < hi; ++row) {
-      std::copy_n(cur.begin() +
-                      static_cast<std::ptrdiff_t>(row - lo + 1) * n,
-                  n,
-                  result.grid.begin() +
-                      static_cast<std::ptrdiff_t>(row) * n);
-    }
+    b.gather(result.grid);
   });
   result.wall_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t0)

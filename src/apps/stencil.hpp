@@ -49,12 +49,9 @@ ComputationSpec make_stencil2d_spec(const StencilConfig& config);
 /// standard heat-plate configuration; any fixed boundary works).
 std::vector<float> make_initial_grid(int n);
 
-/// Jacobi relaxation: every interior point becomes the average of its four
-/// neighbours; boundary points are fixed.  One full sweep.
-void sequential_sweep(std::vector<float>& grid, std::vector<float>& scratch,
-                      int n);
-
-/// Run the sequential reference for `iterations` sweeps.
+/// Run the sequential reference for `iterations` Jacobi sweeps: every
+/// interior point becomes the average of its four neighbours; boundary
+/// points are fixed.
 std::vector<float> run_sequential(const StencilConfig& config);
 
 struct DistributedStencilResult {

@@ -471,14 +471,14 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
   // is the exact double a from-scratch gather of the moved configuration
   // produces.  The partials are staged alongside the groups so that
   // commit_delta of this move can adopt both.
-  const int baseline_groups = static_cast<int>(d.group_c.size());
+  const int base_groups = static_cast<int>(d.group_c.size());
   const int pos = order_pos_[ci];
   int j = 0;
-  while (j < baseline_groups &&
+  while (j < base_groups &&
          order_pos_[static_cast<std::size_t>(d.group_c[j])] < pos) {
     ++j;
   }
-  const bool was_active = j < baseline_groups && d.group_c[j] == cluster;
+  const bool was_active = j < base_groups && d.group_c[j] == cluster;
   double* lw = scratch.stage_w.data();
   int* lp = scratch.stage_p.data();
   ClusterId* lc = scratch.stage_c.data();
@@ -500,7 +500,7 @@ FastEstimate CycleEstimator::estimate_delta(ClusterId cluster, int delta,
     ++groups;
     for (int i = 0; i < moved_p; ++i) sum += w;
   }
-  for (int g = j + (was_active ? 1 : 0); g < baseline_groups; ++g) {
+  for (int g = j + (was_active ? 1 : 0); g < base_groups; ++g) {
     const double w = d.group_w[static_cast<std::size_t>(g)];
     const int p = d.group_p[static_cast<std::size_t>(g)];
     lw[groups] = w;

@@ -97,8 +97,8 @@ void Fleet::start() {
   if (!armed_) {
     armed_ = true;
     for (const auto& n : nodes_) {
-      arm_heartbeat(n->id());
-      arm_gossip(n->id());
+      arm_announce(n->id(), kHeartbeatTag);
+      arm_announce(n->id(), kGossipTag);
       arm_forward(n->id());
       arm_replicate(n->id());
     }
@@ -156,24 +156,41 @@ void Fleet::observe_announce(NodeId at, const EpochAnnounce& announce) {
   if (n.observe_epoch(announce.epoch)) ++stats_.epoch_adoptions;
 }
 
-void Fleet::arm_heartbeat(NodeId n) {
-  mmps_.recv_any(host_of(n), kHeartbeatTag, [this, n](mmps::Message msg) {
-    arm_heartbeat(n);
-    observe_announce(n, decode_announce(msg.payload));
-  });
+bool Fleet::known_peer(NodeId at, NodeId from) const {
+  return from >= 0 && from < num_nodes() && from != at;
 }
 
-void Fleet::arm_gossip(NodeId n) {
-  mmps_.recv_any(host_of(n), kGossipTag, [this, n](mmps::Message msg) {
-    arm_gossip(n);
-    observe_announce(n, decode_announce(msg.payload));
+void Fleet::drop_malformed(NodeId at) {
+  // Looked up per drop, not at construction: a clean run exports no row.
+  node(at).telemetry().counter("fleet.node.malformed_dropped").add();
+}
+
+void Fleet::arm_announce(NodeId n, std::int32_t tag) {
+  mmps_.recv_any(host_of(n), tag, [this, n, tag](mmps::Message msg) {
+    arm_announce(n, tag);
+    EpochAnnounce announce;
+    try {
+      announce = decode_announce(msg.payload);
+      NP_REQUIRE(known_peer(n, announce.from),
+                 "fleet announce from an unknown node");
+    } catch (const Error&) {
+      drop_malformed(n);
+      return;
+    }
+    observe_announce(n, announce);
   });
 }
 
 void Fleet::arm_replicate(NodeId n) {
   mmps_.recv_any(host_of(n), kReplicateTag, [this, n](mmps::Message msg) {
     arm_replicate(n);
-    ReplicateEnvelope envelope = decode_replicate(msg.payload);
+    ReplicateEnvelope envelope;
+    try {
+      envelope = decode_replicate(msg.payload);
+    } catch (const Error&) {
+      drop_malformed(n);
+      return;
+    }
     // A push computed under an older epoch than this node's is already
     // stale; dropping it here is the same rule invalidate_before applies.
     const bool accepted = envelope.decision.epoch >= node(n).epoch();
@@ -193,7 +210,15 @@ void Fleet::arm_replicate(NodeId n) {
 void Fleet::arm_forward(NodeId n) {
   mmps_.recv_any(host_of(n), kForwardTag, [this, n](mmps::Message msg) {
     arm_forward(n);
-    const ForwardEnvelope envelope = decode_forward(msg.payload);
+    ForwardEnvelope envelope;
+    try {
+      envelope = decode_forward(msg.payload);
+      NP_REQUIRE(known_peer(n, envelope.from),
+                 "fleet forward from an unknown node");
+    } catch (const Error&) {
+      drop_malformed(n);
+      return;
+    }
     WireWriter reply;
     try {
       const SimTime received = net_.engine().now();
@@ -374,9 +399,28 @@ void Fleet::forward_to(const AttemptPtr& a, NodeId target) {
   mmps_.recv_with_timeout(
       host_of(a->entry), host_of(target), reply_tag, options_.forward_timeout,
       [this, a, target, fwd_ctx, sent](mmps::Message msg) {
-        WireReader r(msg.payload);
-        const bool ok = r.u8() != 0;
-        const bool hit = r.u8() != 0;
+        // Reply: ok and hit flags; when ok, the owner's receive and ready
+        // stamps and the decision.  A malformed reply fails the attempt.
+        bool ok = false;
+        bool hit = false;
+        double received_us = 0.0;
+        double ready_us = 0.0;
+        std::shared_ptr<svc::PartitionDecision> decision;
+        try {
+          WireReader r(msg.payload);
+          ok = r.flag();
+          hit = r.flag();
+          if (ok) {
+            received_us = r.f64();
+            ready_us = r.f64();
+            decision = std::make_shared<svc::PartitionDecision>(
+                decode_decision_from(r));
+          }
+          NP_REQUIRE(r.exhausted(), "trailing bytes in fleet forward reply");
+        } catch (const Error&) {
+          drop_malformed(a->entry);
+          ok = false;
+        }
         const SimTime now = net_.engine().now();
         record_node_span(a->entry, "fleet.forward", fwd_ctx, sent, now,
                          {{"target", JsonValue(static_cast<double>(target))},
@@ -387,15 +431,11 @@ void Fleet::forward_to(const AttemptPtr& a, NodeId target) {
         }
         // Owner-side stamps (sim clock, globally consistent) split the
         // round trip into its hops.
-        const double received_us = r.f64();
-        const double ready_us = r.f64();
         hop_route_us_.record((sent - a->started).as_micros());
         hop_forward_us_.record(received_us - sent.as_micros());
         hop_compute_us_.record(ready_us - received_us);
         hop_reply_us_.record(now.as_micros() - ready_us);
-        finish(a, /*ok=*/true, hit, target,
-               std::make_shared<svc::PartitionDecision>(
-                   decode_decision_from(r)));
+        finish(a, /*ok=*/true, hit, target, std::move(decision));
       },
       [this, a, target, fwd_ctx, sent] {
         // RTO expired: treat the silent owner as failed for this request

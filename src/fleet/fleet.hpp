@@ -238,11 +238,18 @@ class Fleet {
                         const obs::TraceContext& ctx, SimTime start,
                         SimTime end, obs::AttrList attrs);
 
-  /// Re-arming receive loops for the four control tags at node `n`.
-  void arm_heartbeat(NodeId n);
-  void arm_gossip(NodeId n);
+  /// Re-arming receive loops for the four control tags at node `n`
+  /// (heartbeat and gossip share the announce body).  A message that does
+  /// not decode, or whose sender field names no other fleet node, is
+  /// dropped and counted.
+  void arm_announce(NodeId n, std::int32_t tag);
   void arm_forward(NodeId n);
   void arm_replicate(NodeId n);
+  /// True when `from` names a fleet node other than `at`.
+  bool known_peer(NodeId at, NodeId from) const;
+  /// Count one dropped malformed message in node `at`'s registry
+  /// (`fleet.node.malformed_dropped`).
+  void drop_malformed(NodeId at);
 
   void heartbeat_round();
   void gossip_round();

@@ -7,7 +7,7 @@
 //   * heartbeats over MMPS channels -- a crashed host stops sending, the
 //     simulator silently drops anything addressed to/from it (datagram
 //     semantics), and silence is the only failure signal;
-//   * dead-peer reports -- the PR 1 fault-tolerant availability token ring
+//   * dead-peer reports -- the acknowledged availability token ring
 //     already proves which managers are unreachable (ProtocolResult::dead);
 //     report_dead() folds those verdicts in immediately, skipping the
 //     suspicion window.

@@ -86,6 +86,12 @@ std::uint64_t WireReader::u64() {
   return v;
 }
 
+bool WireReader::flag() {
+  const std::uint8_t v = u8();
+  NP_REQUIRE(v <= 1, "fleet flag byte is neither 0 nor 1");
+  return v != 0;
+}
+
 std::int32_t WireReader::i32() { return static_cast<std::int32_t>(u32()); }
 std::int64_t WireReader::i64() { return static_cast<std::int64_t>(u64()); }
 double WireReader::f64() { return std::bit_cast<double>(u64()); }
@@ -120,6 +126,7 @@ EpochAnnounce decode_announce(const std::vector<std::byte>& bytes) {
   EpochAnnounce a;
   a.from = r.i32();
   a.epoch = r.u64();
+  NP_REQUIRE(r.exhausted(), "trailing bytes in fleet announce");
   return a;
 }
 
@@ -146,9 +153,9 @@ svc::PartitionRequest decode_request_from(WireReader& r) {
   req.spec = r.str();
   req.n = r.i64();
   req.iterations = r.i32();
-  req.options.search = r.u8() == 0 ? PartitionOptions::Search::Binary
-                                   : PartitionOptions::Search::Linear;
-  req.options.stop_at_partial_cluster = r.u8() != 0;
+  req.options.search = r.flag() ? PartitionOptions::Search::Linear
+                                : PartitionOptions::Search::Binary;
+  req.options.stop_at_partial_cluster = r.flag();
   const std::uint64_t rates = r.count(4);
   req.rate_milli.reserve(rates);
   for (std::uint64_t i = 0; i < rates; ++i) req.rate_milli.push_back(r.i32());

@@ -72,6 +72,8 @@ class WireReader {
   std::int64_t i64();
   double f64();
   std::string str();
+  /// A u8 that must be 0 or 1.
+  bool flag();
   /// A u64 element count, checked against the bytes left: `n` elements of
   /// `element_bytes` each must still fit in the payload.
   std::uint64_t count(std::size_t element_bytes);

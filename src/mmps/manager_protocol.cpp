@@ -19,11 +19,11 @@ constexpr std::int32_t kBcastTag = -104;
 
 ProcessorRef manager_host(ClusterId c) { return ProcessorRef{c, 0}; }
 
-/// Shared state of one fault-tolerant protocol run.  Handlers capture it
-/// via shared_ptr; `done` neuters every callback that fires after the run
-/// finished or the budget expired.  The token payload genuinely rides the
-/// messages (counts plus dead flags as one int32 array of length 2k);
-/// receivers merge it so the initiator's view is built from real bytes.
+/// Shared state of one protocol run.  Handlers capture it via shared_ptr;
+/// `done` neuters every callback that fires after the run finished or the
+/// budget expired.  The token payload genuinely rides the messages
+/// (counts plus dead flags as one int32 array of length 2k); receivers
+/// merge it so the initiator's view is built from real bytes.
 struct Ring : std::enable_shared_from_this<Ring> {
   System mmps;
   std::vector<std::int32_t> own;
@@ -145,7 +145,7 @@ struct Ring : std::enable_shared_from_this<Ring> {
       self->done = true;
       self->completed = true;
       // Broadcast the final snapshot to the surviving managers
-      // (fire-and-forget, as in the benign protocol).
+      // (fire-and-forget: the run ends once the initiator holds N_i).
       for (ClusterId c = 1; c < self->k; ++c) {
         if (self->dead[static_cast<std::size_t>(c)]) continue;
         self->mmps.send(manager_host(0), manager_host(c), kBcastTag,
@@ -157,93 +157,6 @@ struct Ring : std::enable_shared_from_this<Ring> {
 }  // namespace
 
 ProtocolResult run_availability_protocol(
-    sim::NetSim& net, const std::vector<ClusterManager>& managers) {
-  const Network& network = net.network();
-  NP_REQUIRE(static_cast<int>(managers.size()) == network.num_clusters(),
-             "need exactly one manager per cluster");
-  NP_REQUIRE(net.engine().idle(), "engine must be idle at protocol start");
-  const int k = network.num_clusters();
-  const std::uint64_t messages_before = net.messages_delivered();
-  const SimTime start = net.engine().now();
-
-  ProtocolResult result;
-  result.snapshot.available.assign(static_cast<std::size_t>(k), 0);
-
-  if (k == 1) {
-    // Single manager: no messages needed.
-    result.snapshot.available[0] = managers[0].available(network);
-    result.elapsed = SimTime::zero();
-    return result;
-  }
-
-  System mmps(net);
-
-  // Each manager counts its own availability locally (host time for the
-  // threshold scan is negligible next to messaging and is folded into the
-  // send initiation the simulator already charges).
-  std::vector<std::int32_t> own(static_cast<std::size_t>(k));
-  for (ClusterId c = 0; c < k; ++c) {
-    own[static_cast<std::size_t>(c)] =
-        managers[static_cast<std::size_t>(c)].available(network);
-  }
-
-  // Ring accumulation: manager c receives the partial vector from c-1,
-  // fills in its slot, and forwards to c+1.  Manager 0 starts the token
-  // and receives the complete vector from manager k-1.
-  for (ClusterId c = 1; c < k; ++c) {
-    mmps.recv(manager_host(c), manager_host(c - 1), kRingTag,
-              [&mmps, &own, c, k](Message msg) {
-                std::vector<std::int32_t> counts =
-                    decode_array<std::int32_t>(msg.payload);
-                counts[static_cast<std::size_t>(c)] =
-                    own[static_cast<std::size_t>(c)];
-                const ProcessorRef next =
-                    c + 1 < k ? manager_host(c + 1) : manager_host(0);
-                const std::int32_t tag =
-                    c + 1 < k ? kRingTag : kResultTag;
-                mmps.send(manager_host(c), next, tag,
-                          encode_array(std::span<const std::int32_t>(
-                              counts)));
-              });
-  }
-
-  bool done = false;
-  mmps.recv(manager_host(0), manager_host(k - 1), kResultTag,
-            [&](Message msg) {
-              const std::vector<std::int32_t> counts =
-                  decode_array<std::int32_t>(msg.payload);
-              for (std::size_t i = 0; i < counts.size(); ++i) {
-                result.snapshot.available[i] = counts[i];
-              }
-              done = true;
-              // Broadcast the final snapshot so every manager can serve
-              // placement queries (fire-and-forget).
-              for (ClusterId c = 1; c < k; ++c) {
-                mmps.send(manager_host(0), manager_host(c), kResultTag,
-                          encode_array(std::span<const std::int32_t>(
-                              counts)));
-              }
-            });
-  for (ClusterId c = 1; c < k; ++c) {
-    mmps.recv(manager_host(c), manager_host(0), kResultTag,
-              [](Message) { /* manager caches the snapshot */ });
-  }
-
-  // Kick off the ring.
-  std::vector<std::int32_t> initial(static_cast<std::size_t>(k), 0);
-  initial[0] = own[0];
-  mmps.send(manager_host(0), manager_host(1), kRingTag,
-            encode_array(std::span<const std::int32_t>(initial)));
-
-  net.engine().run();
-  NP_ASSERT(done);
-  NP_ASSERT(mmps.unclaimed() == 0);
-  result.elapsed = net.engine().now() - start;
-  result.messages = net.messages_delivered() - messages_before;
-  return result;
-}
-
-ProtocolResult run_fault_tolerant_protocol(
     sim::NetSim& net, const std::vector<ClusterManager>& managers,
     const ProtocolOptions& options) {
   const Network& network = net.network();

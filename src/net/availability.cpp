@@ -95,25 +95,8 @@ void apply_churn_to_network(Network& net,
   }
 }
 
-AvailabilitySnapshot apply_churn(const Network& net,
-                                 AvailabilitySnapshot snapshot,
-                                 const std::vector<ChurnEvent>& events,
-                                 SimTime upto) {
-  NP_REQUIRE(static_cast<int>(snapshot.available.size()) ==
-                 net.num_clusters(),
-             "snapshot does not match the network");
-  for (const auto& [ref, revoked] : final_churn_state(events, upto)) {
-    if (!revoked) continue;
-    NP_REQUIRE(ref.cluster >= 0 && ref.cluster < net.num_clusters(),
-               "churn event names an unknown cluster");
-    int& n = snapshot.available[static_cast<std::size_t>(ref.cluster)];
-    n = std::max(0, n - 1);
-  }
-  return snapshot;
-}
-
 AvailabilityFeed::AvailabilityFeed(AvailabilitySnapshot initial)
-    : baseline_(initial), current_(std::move(initial)) {}
+    : current_(std::move(initial)) {}
 
 AvailabilityFeed::AvailabilityFeed(
     const Network& net, const std::vector<ClusterManager>& managers)
@@ -137,22 +120,6 @@ std::uint64_t AvailabilityFeed::update(AvailabilitySnapshot next) {
     ++epoch_;
   }
   return epoch_;
-}
-
-std::uint64_t AvailabilityFeed::refresh(
-    const Network& net, const std::vector<ClusterManager>& managers) {
-  return update(gather_availability(net, managers));
-}
-
-std::uint64_t AvailabilityFeed::apply_churn_events(
-    const Network& net, const std::vector<ChurnEvent>& events,
-    SimTime upto) {
-  AvailabilitySnapshot base;
-  {
-    std::lock_guard lock(mutex_);
-    base = baseline_;
-  }
-  return update(apply_churn(net, std::move(base), events, upto));
 }
 
 void apply_random_load(Network& net, Rng& rng, double mean_load) {

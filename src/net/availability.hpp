@@ -53,9 +53,9 @@ struct AvailabilitySnapshot {
   int total() const;
 };
 
-/// Run the cooperative protocol: every manager reports its count, one
-/// round-robin exchange.  (On a real system this is a message round among
-/// managers; with the in-process model it reduces to querying each one.)
+/// The cooperative protocol's result as a direct query: every manager
+/// reports its count.  mmps::run_availability_protocol runs the same
+/// gathering as real messages on the simulator.
 AvailabilitySnapshot gather_availability(
     const Network& net, const std::vector<ClusterManager>& managers);
 
@@ -77,18 +77,12 @@ struct ChurnEvent {
 /// processors are marked fully loaded (load 1.0) so the threshold policy --
 /// and therefore available_indices() and any placement built from it --
 /// excludes them; restored processors return to load 0.  Events are applied
-/// in time order (ties: later event in the list wins).
+/// in time order (ties: later event in the list wins).  A driver whose
+/// Network is shared read-only applies churn to a copy and feeds
+/// gather_availability(copy, managers) to AvailabilityFeed::update().
 void apply_churn_to_network(Network& net,
                             const std::vector<ChurnEvent>& events,
                             SimTime upto);
-
-/// Snapshot-level variant: subtract each processor whose final state by
-/// `upto` is revoked from its cluster's count (clamped at zero).  Assumes
-/// the snapshot counted those processors as available.
-AvailabilitySnapshot apply_churn(const Network& net,
-                                 AvailabilitySnapshot snapshot,
-                                 const std::vector<ChurnEvent>& events,
-                                 SimTime upto);
 
 /// Background-load generator: assigns each processor a load drawn from a
 /// bounded exponential, modelling light sharing by other users.
@@ -122,22 +116,8 @@ class AvailabilityFeed {
   /// in force after the call.
   std::uint64_t update(AvailabilitySnapshot next);
 
-  /// Re-run the cooperative protocol against the network's current load
-  /// state and update().
-  std::uint64_t refresh(const Network& net,
-                        const std::vector<ClusterManager>& managers);
-
-  /// Replay churn events (at <= upto) against the *initial* snapshot and
-  /// update() -- the service-facing form of apply_churn, for drivers that
-  /// never mutate the Network itself (the Network can then stay immutable
-  /// and be shared with querying threads without locking).
-  std::uint64_t apply_churn_events(const Network& net,
-                                   const std::vector<ChurnEvent>& events,
-                                   SimTime upto);
-
  private:
   mutable std::mutex mutex_;
-  AvailabilitySnapshot baseline_;
   AvailabilitySnapshot current_;
   std::uint64_t epoch_ = 1;
 };

@@ -119,7 +119,7 @@ TEST_P(ChaosPipelineTest, ProtocolTerminatesAndReportsDeadManagers) {
   const std::vector<ClusterManager> managers = make_managers(net, {});
   const mmps::ProtocolOptions options{};
   const mmps::ProtocolResult result =
-      mmps::run_fault_tolerant_protocol(sim, managers, options);
+      mmps::run_availability_protocol(sim, managers, options);
 
   // Bounded: the run never exceeds its budget, crashed peers or not.
   EXPECT_LE(result.elapsed, options.budget) << "seed " << seed;
@@ -289,23 +289,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ChaosPipelineTest,
 
 // ------------------------------------------------- directed protocol tests
 
-TEST(FaultTolerantProtocolTest, MatchesBenignProtocolWithoutFaults) {
+TEST(FaultTolerantProtocolTest, MatchesDirectGatherWithoutFaults) {
   const Network net = presets::paper_testbed();
   const std::vector<ClusterManager> managers = make_managers(net, {});
 
-  sim::Engine benign_engine;
-  sim::NetSim benign_sim(benign_engine, net, {}, Rng(1));
-  const mmps::ProtocolResult benign =
-      mmps::run_availability_protocol(benign_sim, managers);
+  sim::Engine engine;
+  sim::NetSim sim(engine, net, {}, Rng(1));
+  const mmps::ProtocolResult result =
+      mmps::run_availability_protocol(sim, managers);
 
-  sim::Engine ft_engine;
-  sim::NetSim ft_sim(ft_engine, net, {}, Rng(1));
-  const mmps::ProtocolResult ft =
-      mmps::run_fault_tolerant_protocol(ft_sim, managers);
-
-  EXPECT_TRUE(ft.completed);
-  EXPECT_TRUE(ft.dead.empty());
-  EXPECT_EQ(ft.snapshot.available, benign.snapshot.available);
+  EXPECT_TRUE(result.completed);
+  EXPECT_TRUE(result.dead.empty());
+  EXPECT_EQ(result.snapshot.available,
+            gather_availability(net, managers).available);
 }
 
 TEST(FaultTolerantProtocolTest, CrashedManagerIsDeclaredDeadAfterRetries) {
@@ -323,7 +319,7 @@ TEST(FaultTolerantProtocolTest, CrashedManagerIsDeclaredDeadAfterRetries) {
   options.ack_timeout = SimTime::millis(100);
   options.max_attempts = 3;
   const mmps::ProtocolResult result =
-      mmps::run_fault_tolerant_protocol(sim, managers, options);
+      mmps::run_availability_protocol(sim, managers, options);
 
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(result.dead, std::vector<ClusterId>{1});
@@ -352,7 +348,7 @@ TEST(FaultTolerantProtocolTest, SurvivesTransientFlapViaRetry) {
   options.ack_timeout = SimTime::millis(100);
   options.max_attempts = 5;
   const mmps::ProtocolResult result =
-      mmps::run_fault_tolerant_protocol(sim, managers, options);
+      mmps::run_availability_protocol(sim, managers, options);
 
   EXPECT_TRUE(result.completed);
   EXPECT_TRUE(result.dead.empty());
@@ -389,7 +385,7 @@ TEST(FaultTolerantProtocolTest, TwoAdjacentDeathsInOneTokenRoundBothReported) {
   options.ack_timeout = SimTime::millis(100);
   options.max_attempts = 3;
   const mmps::ProtocolResult result =
-      mmps::run_fault_tolerant_protocol(sim, managers, options);
+      mmps::run_availability_protocol(sim, managers, options);
 
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(result.dead, (std::vector<ClusterId>{1, 2}));
@@ -422,7 +418,7 @@ TEST(FaultTolerantProtocolTest, BudgetBoundsARunThatCannotComplete) {
   options.max_attempts = 2;
   options.budget = SimTime::millis(150);
   const mmps::ProtocolResult result =
-      mmps::run_fault_tolerant_protocol(sim, managers, options);
+      mmps::run_availability_protocol(sim, managers, options);
 
   EXPECT_FALSE(result.completed);
   EXPECT_EQ(result.elapsed, options.budget);

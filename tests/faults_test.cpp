@@ -438,23 +438,6 @@ TEST(ChurnTest, ThresholdPolicyExcludesRevokedProcessors) {
   EXPECT_EQ(std::count(indices.begin(), indices.end(), 4), 0);
 }
 
-TEST(ChurnTest, SnapshotVariantDecrementsAndClamps) {
-  const Network net = presets::paper_testbed();
-  AvailabilitySnapshot snap;
-  snap.available = {1, 6};
-  std::vector<ChurnEvent> events;
-  events.push_back(
-      {SimTime::zero(), ProcessorRef{0, 0}, ChurnEvent::Kind::Revoke});
-  events.push_back(
-      {SimTime::zero(), ProcessorRef{0, 1}, ChurnEvent::Kind::Revoke});
-  events.push_back(
-      {SimTime::millis(1), ProcessorRef{1, 0}, ChurnEvent::Kind::Revoke});
-  const AvailabilitySnapshot out =
-      apply_churn(net, std::move(snap), events, SimTime::millis(5));
-  EXPECT_EQ(out.available[0], 0);  // clamped, not negative
-  EXPECT_EQ(out.available[1], 5);
-}
-
 TEST(ChurnTest, AvailablePlacementUsesSurvivingIndices) {
   const Network net = presets::paper_testbed();
   // Cluster 0 lost processors 0 and 1; cluster 1 intact.

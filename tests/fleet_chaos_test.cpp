@@ -65,11 +65,12 @@ CrashOutcome run_crash_scenario(std::uint64_t seed) {
   sim.host(ProcessorRef{kVictim, 0}).crash();
   out.warm_fraction = fl.warm_fraction_for(kVictim);
 
-  // The PR 1 token ring proves the death; its report feeds every peer
-  // table so the post-crash workload routes around the victim up front.
+  // The availability token ring proves the death; its report feeds every
+  // peer table so the post-crash workload routes around the victim up
+  // front.
   const std::vector<ClusterManager> managers = make_managers(net, {});
   const mmps::ProtocolResult avail =
-      mmps::run_fault_tolerant_protocol(sim, managers);
+      mmps::run_availability_protocol(sim, managers);
   fl.report_dead_peers(avail.dead);
   out.dead_reported = avail.dead.size();
 

@@ -523,6 +523,108 @@ TEST(FleetTest, DeadPeerReportsRerouteWithoutTimeouts) {
   EXPECT_EQ(bed.fl.node(0).ring().num_nodes(), 3);
 }
 
+TEST(FleetTest, MalformedPeerMessagesAreDroppedAndCounted) {
+  FleetBed bed(4);
+  const auto host = [](NodeId id) { return ProcessorRef{id, 0}; };
+  const auto dropped = [&bed] {
+    std::uint64_t total = 0;
+    for (NodeId id : bed.fl.node_ids()) {
+      const auto counters = bed.fl.node(id).telemetry().snapshot().counters;
+      const auto it = counters.find("fleet.node.malformed_dropped");
+      if (it != counters.end()) total += it->second;
+    }
+    return total;
+  };
+  const auto payload = [](fleet::WireWriter& w) { return w.take(); };
+
+  // Two forwarded requests; reply tags are handed out from 1 in forward
+  // order.  Before each real reply can arrive, the owner's host sends the
+  // relay a bad reply on that tag: one truncated, one well formed but
+  // followed by a trailing byte.  Each finishes its attempt as failed.
+  std::vector<fleet::FleetReply> replies;
+  const auto done = [&](const fleet::FleetReply& r) { replies.push_back(r); };
+  for (std::int32_t tag = 1; tag <= 2; ++tag) {
+    const svc::PartitionRequest req = fleet::workload_request(tag);
+    const NodeId owner =
+        bed.fl.node(0).ring().owner(bed.fl.routing_key(req));
+    const NodeId entry = (owner + 1) % 4;
+    bed.fl.submit(req, entry, done);
+    fleet::WireWriter reply;
+    if (tag == 1) {
+      reply.u8(1).u8(0).u8(7);
+    } else {
+      reply.u8(1).u8(0).f64(1.0).f64(2.0);
+      fleet::encode_decision_into(reply, svc::PartitionDecision{});
+      reply.u8(0);
+    }
+    bed.fl.mmps().send(host(owner), host(entry), tag, payload(reply));
+  }
+  std::uint64_t injected = 2;
+
+  // Bad payloads on every control tag at every node, from a real peer.
+  for (NodeId at : bed.fl.node_ids()) {
+    const NodeId peer = (at + 1) % 4;
+    std::vector<std::pair<std::int32_t, std::vector<std::byte>>> bad;
+    for (const std::int32_t tag : {fleet::kHeartbeatTag, fleet::kGossipTag}) {
+      fleet::WireWriter truncated;
+      truncated.u8(1).u8(2).u8(3);
+      bad.emplace_back(tag, payload(truncated));
+      for (const NodeId from : {NodeId{99}, NodeId{-1}, at}) {
+        bad.emplace_back(tag, fleet::encode_announce({from, 5}));
+      }
+      std::vector<std::byte> trailing = fleet::encode_announce({peer, 5});
+      trailing.push_back(std::byte{0});
+      bad.emplace_back(tag, std::move(trailing));
+    }
+    fleet::ForwardEnvelope forward;
+    forward.from = peer;
+    forward.reply_tag = 1000 + at;
+    forward.request = fleet::workload_request(7);
+    std::vector<std::byte> bad_search = fleet::encode_forward(forward);
+    // With no rates the request ends in search byte, stop byte and a u64
+    // rate count.
+    ASSERT_TRUE(forward.request.rate_milli.empty());
+    bad_search[bad_search.size() - 10] = std::byte{2};
+    bad.emplace_back(fleet::kForwardTag, std::move(bad_search));
+    forward.from = 99;
+    bad.emplace_back(fleet::kForwardTag, fleet::encode_forward(forward));
+    fleet::WireWriter garbage;
+    garbage.u64(3);
+    bad.emplace_back(fleet::kForwardTag, payload(garbage));
+    std::vector<std::byte> replicate =
+        fleet::encode_replicate(fleet::ReplicateEnvelope{});
+    replicate.push_back(std::byte{0});
+    bad.emplace_back(fleet::kReplicateTag, std::move(replicate));
+    fleet::WireWriter short_replicate;
+    short_replicate.u64(0).u64(1);
+    bad.emplace_back(fleet::kReplicateTag, payload(short_replicate));
+    for (auto& [tag, bytes] : bad) {
+      bed.fl.mmps().send(host(peer), host(at), tag, std::move(bytes));
+      ++injected;
+    }
+  }
+
+  ASSERT_TRUE(step_until(bed.engine, [&] {
+    return replies.size() == 2 && dropped() == injected;
+  }));
+  EXPECT_FALSE(replies[0].ok);
+  EXPECT_FALSE(replies[1].ok);
+  EXPECT_EQ(bed.fl.stats().replica_inserts, 0u);
+
+  // The engine kept running: a later forwarded request is served, and no
+  // peer was marked dead by the noise.
+  const svc::PartitionRequest later = fleet::workload_request(11);
+  const NodeId owner = bed.fl.node(0).ring().owner(bed.fl.routing_key(later));
+  bed.fl.submit(later, (owner + 1) % 4, done);
+  ASSERT_TRUE(step_until(bed.engine, [&] { return replies.size() == 3; }));
+  EXPECT_TRUE(replies[2].ok);
+  EXPECT_EQ(replies[2].served_by, owner);
+  EXPECT_EQ(dropped(), injected);
+  for (NodeId id : bed.fl.node_ids()) {
+    EXPECT_EQ(bed.fl.node(id).ring().num_nodes(), 4);
+  }
+}
+
 TEST(FleetTest, WorkloadIsDeterministicForAGivenSeed) {
   const auto run = [](std::uint64_t seed) {
     fleet::FleetOptions options;

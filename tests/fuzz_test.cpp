@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <utility>
 
 #include "analysis/model_lint.hpp"
 #include "analysis/net_lint.hpp"
@@ -330,7 +331,8 @@ TEST(DegenerateInputs, WireLengthsAndCountsAreCheckedBeforeAllocating) {
   // must not wrap the bound (it threw std::length_error), and a count must
   // not reach reserve() (2^62 threw std::length_error; 2^26 reserved
   // 512 MB before the truncation showed).  A request kind the format does
-  // not define is rejected too.  Each is a peer bug: InvalidArgument.
+  // not define is rejected too, and so is a search or stop byte other than
+  // 0 or 1.  Each is a peer bug: InvalidArgument.
   const auto forward_header = [] {
     fleet::WireWriter w;
     w.i32(1).u64(42).i32(7).u64(0);  // from, key, reply tag, no context
@@ -358,6 +360,20 @@ TEST(DegenerateInputs, WireLengthsAndCountsAreCheckedBeforeAllocating) {
     const std::vector<std::byte> bytes = w.take();
     EXPECT_THROW((void)fleet::decode_forward(bytes), InvalidArgument)
         << "kind " << kind;
+  }
+  for (const auto& [search, stop] :
+       {std::pair<int, int>{2, 0}, {255, 0}, {0, 2}, {1, 255}}) {
+    fleet::WireWriter w = forward_header();
+    w.u8(0)
+        .str("stencil")
+        .i64(256)
+        .i32(4)
+        .u8(static_cast<std::uint8_t>(search))
+        .u8(static_cast<std::uint8_t>(stop))
+        .u64(0);
+    const std::vector<std::byte> bytes = w.take();
+    EXPECT_THROW((void)fleet::decode_forward(bytes), InvalidArgument)
+        << "search " << search << " stop " << stop;
   }
   for (const std::uint64_t count :
        {std::uint64_t{1} << 62, std::uint64_t{1} << 26}) {

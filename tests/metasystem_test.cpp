@@ -10,6 +10,8 @@
 #include "mmps/manager_protocol.hpp"
 #include "net/builder.hpp"
 #include "net/presets.hpp"
+#include "sim/engine.hpp"
+#include "sim/faults.hpp"
 #include "util/error.hpp"
 
 namespace netpart {
@@ -79,7 +81,9 @@ TEST(AvailabilityProtocolTest, MatchesDirectGather) {
   const mmps::ProtocolResult result =
       mmps::run_availability_protocol(sim, managers);
   EXPECT_EQ(result.snapshot.available, direct.available);
-  // Ring (k-1) + result (1) + broadcast (k-1) messages for k clusters.
+  // For k clusters the run delivers the ring (k-1) and the result (1)
+  // tokens plus the acks of the k-1 ring hops; it ends when the initiator
+  // holds the result, before the result's ack and the broadcast land.
   EXPECT_EQ(result.messages, 2u * 3u - 1u);
   EXPECT_GT(result.elapsed, SimTime::zero());
 }
@@ -109,6 +113,56 @@ TEST(AvailabilityProtocolTest, SingleClusterNeedsNoMessages) {
       mmps::run_availability_protocol(sim, managers);
   EXPECT_EQ(result.messages, 0u);
   EXPECT_EQ(result.snapshot.available[0], 4);
+}
+
+// Pins the acknowledged ring's observable result -- snapshot, dead list,
+// delivered messages and elapsed ns -- on fig1, the paper testbed, the
+// random networks bench_protocol sweeps, and one crashed manager.
+TEST(AvailabilityProtocolTest, ProtocolPinnedBitForBit) {
+  struct Case {
+    const char* name;
+    Network net;
+    std::uint64_t seed;
+    bool crash_manager_1;
+    std::vector<int> available;
+    std::vector<ClusterId> dead;
+    std::uint64_t messages;
+    std::int64_t elapsed_ns;
+  };
+  const auto random_net = [](int k) {
+    Rng rng(static_cast<std::uint64_t>(k) * 31);
+    return presets::random_network(rng, k, 6);
+  };
+  const Case cases[] = {
+      {"fig1", presets::fig1_network(), 4, false, {8, 4, 4}, {}, 5, 4422800},
+      {"testbed", presets::paper_testbed(), 4, false, {6, 6}, {}, 3, 4447120},
+      {"random k=2", random_net(2), 9, false, {5, 6}, {}, 3, 4539024},
+      {"random k=3", random_net(3), 9, false, {6, 5, 4}, {}, 5, 4866072},
+      {"random k=5", random_net(5), 9, false, {6, 3, 5, 3, 5}, {}, 9,
+       12344520},
+      {"random k=8", random_net(8), 9, false, {2, 3, 4, 3, 4, 5, 4, 2}, {},
+       15, 18067288},
+      {"fig1 manager 1 crashed", presets::fig1_network(), 2, true, {8, 0, 4},
+       {1}, 3, 752921600},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    sim::FaultPlan plan;
+    if (c.crash_manager_1) {
+      plan.crashes.push_back({SimTime::zero(), ProcessorRef{1, 0}});
+    }
+    sim::Engine engine;
+    sim::NetSim sim(engine, c.net, sim::NetSimParams{}, Rng(c.seed));
+    sim::FaultInjector injector(sim, plan);
+    injector.arm();
+    const mmps::ProtocolResult result = mmps::run_availability_protocol(
+        sim, make_managers(c.net, AvailabilityPolicy{}));
+    EXPECT_TRUE(result.completed);
+    EXPECT_EQ(result.snapshot.available, c.available);
+    EXPECT_EQ(result.dead, c.dead);
+    EXPECT_EQ(result.messages, c.messages);
+    EXPECT_EQ(result.elapsed.as_nanos(), c.elapsed_ns);
+  }
 }
 
 TEST(ExecutorInstrumentationTest, IterationSeriesAndUtilisation) {

@@ -357,6 +357,13 @@ TEST(ServiceTest, ChaosSeedsFaultyColdPathStaysConsistent) {
     chaos_options.control_horizon = SimTime::seconds(1);
     const sim::FaultPlan plan = chaos.make_plan(bed.net, chaos_options);
     const std::vector<ChurnEvent> churn = plan.churn_events();
+    // The plan's churn lands on a private copy of the network: the
+    // service keeps reading bed.net while the feed moves to the churned
+    // counts.
+    Network churned = bed.net;
+    apply_churn_to_network(churned, churn, SimTime::max());
+    const AvailabilitySnapshot churned_snapshot = gather_availability(
+        churned, make_managers(churned, AvailabilityPolicy{}));
 
     AvailabilityFeed feed = make_feed(bed.net);
 
@@ -397,7 +404,7 @@ TEST(ServiceTest, ChaosSeedsFaultyColdPathStaysConsistent) {
           // Mid-stream, one client replays the plan's churn into the feed
           // (epoch bumps race with in-flight requests by design).
           if (c == 0 && r == kRounds / 2 && !churn.empty()) {
-            feed.apply_churn_events(bed.net, churn, SimTime::max());
+            feed.update(churned_snapshot);
           }
           const std::int64_t n = 200 + (c * kRounds + r) % 6;
           const svc::ServiceReply reply = service.query(stencil_request(n));
