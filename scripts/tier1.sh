@@ -133,7 +133,11 @@ if [[ "$batch_stage" == 1 ]]; then
   ./build/tests/test_coverage \
     --gtest_filter='SpeedupGateCoverage.*:GateSetCoverage.*'
   echo "== engine perf smoke =="
-  ./build/bench/bench_partition_hotpath --smoke >/dev/null
+  # A smoke run must not overwrite the tracked full-run artifact.
+  smoke_json="$(mktemp)"
+  ./build/bench/bench_partition_hotpath --smoke \
+    --json-out "$smoke_json" >/dev/null
+  rm -f "$smoke_json"
   echo "batch tier ok"
   exit 0
 fi
@@ -155,7 +159,10 @@ if [[ "$fleet_stage" == 1 ]]; then
   fi
   ./build/src/apps/fleetd nodes=4 replication=2 --check >/dev/null
   echo "== fleet bench gates =="
-  ./build/bench/bench_fleet --smoke --json-out BENCH_fleet.json >/dev/null
+  # A smoke run must not overwrite the tracked full-run artifact.
+  smoke_json="$(mktemp)"
+  ./build/bench/bench_fleet --smoke --json-out "$smoke_json" >/dev/null
+  rm -f "$smoke_json"
   echo "fleet tier ok"
   exit 0
 fi

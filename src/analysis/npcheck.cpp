@@ -26,15 +26,6 @@ constexpr const char* kUsage =
     "                    forward_timeout_ms)\n"
     "  --strict          treat warnings as errors\n";
 
-Network preset_network(const std::string& name) {
-  if (name == "paper") return presets::paper_testbed();
-  if (name == "fig1") return presets::fig1_network();
-  if (name == "coercion") return presets::coercion_testbed();
-  if (name == "metasystem") return presets::metasystem();
-  throw ConfigError("unknown network preset: " + name +
-                    " (expected paper|fig1|coercion|metasystem)");
-}
-
 }  // namespace
 
 NpcheckResult run_npcheck(const std::vector<std::string>& args,
@@ -129,7 +120,7 @@ NpcheckResult run_npcheck(const std::vector<std::string>& args,
   }
   if (!network.empty()) {
     try {
-      const Network net = preset_network(network);
+      const Network net = presets::by_name(network);
       lint_network(net, "<network:" + network + ">", result.sink);
       if (!model.empty()) {
         try {

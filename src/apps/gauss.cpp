@@ -4,7 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "apps/spmd.hpp"
+#include "exec/spmd.hpp"
 #include "mmps/coercion.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -201,14 +201,14 @@ class GaussRunner {
   }
 
   DistributedGaussResult run() {
-    const SpmdRuntime::Outcome outcome = rt_.run([this](int rank) {
-      begin_step(ranks_[static_cast<std::size_t>(rank)]);
-    });
-    NP_ASSERT(static_cast<int>(pivots_.size()) == n_);
-
     DistributedGaussResult result;
-    result.elapsed = outcome.elapsed;
-    result.messages = outcome.messages;
+    result.elapsed = rt_.run(
+        [this](int rank) {
+          begin_step(ranks_[static_cast<std::size_t>(rank)]);
+        },
+        SimTime::max());
+    NP_ASSERT(static_cast<int>(pivots_.size()) == n_);
+    result.messages = rt_.messages_delivered();
     result.x = back_substitute();
     return result;
   }

@@ -45,9 +45,7 @@
 #include <vector>
 
 #include "analysis/preflight.hpp"
-#include "apps/gauss.hpp"
-#include "apps/particles.hpp"
-#include "apps/reduce.hpp"
+#include "apps/catalog.hpp"
 #include "apps/stencil.hpp"
 #include "calib/calibrate.hpp"
 #include "calib/model_io.hpp"
@@ -65,34 +63,9 @@
 namespace netpart {
 namespace {
 
-Network make_network(const std::string& name) {
-  if (name == "paper") return presets::paper_testbed();
-  if (name == "fig1") return presets::fig1_network();
-  if (name == "coercion") return presets::coercion_testbed();
-  if (name == "metasystem") return presets::metasystem();
-  throw ConfigError("unknown network: " + name);
-}
-
 ComputationSpec resolve_spec(const svc::PartitionRequest& request) {
-  const int n = static_cast<int>(request.n);
-  const int iterations = request.iterations;
-  if (request.spec == "stencil" || request.spec == "sten2") {
-    return apps::make_stencil_spec(
-        apps::StencilConfig{.n = n, .iterations = iterations,
-                            .overlap = request.spec == "sten2"});
-  }
-  if (request.spec == "gauss") {
-    return apps::make_gauss_spec(apps::GaussConfig{.n = n});
-  }
-  if (request.spec == "particles") {
-    return apps::make_particle_spec(
-        apps::ParticleConfig{.count = n, .iterations = iterations});
-  }
-  if (request.spec == "reduce") {
-    return apps::make_reduce_spec(
-        apps::ReduceConfig{.count = n, .iterations = iterations});
-  }
-  throw InvalidArgument("netpartd: unknown spec " + request.spec);
+  return apps::spec_by_name(request.spec, static_cast<int>(request.n),
+                            request.iterations);
 }
 
 /// Zipf(s) sampler over ranks 0..k-1 by inverse CDF (deterministic: only
@@ -161,7 +134,7 @@ int run(const Config& args) {
   const bool telemetry = trace_out.has_value() || metrics_out.has_value();
   if (telemetry) obs::TelemetryRegistry::global().set_enabled(true);
 
-  const Network net = make_network(args.get_or("network", "paper"));
+  const Network net = presets::by_name(args.get_or("network", "paper"));
   std::printf("%s", net.describe().c_str());
 
   CostModelDb db(net.num_clusters());

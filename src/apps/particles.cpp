@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "apps/spmd.hpp"
+#include "apps/halo.hpp"
 #include "mmps/coercion.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -130,12 +130,10 @@ class ParticleRunner {
   }
 
   DistributedParticlesResult run() {
-    const SpmdRuntime::Outcome outcome =
-        rt_.run([this](int rank) { start_iteration(rank); });
-
     DistributedParticlesResult result;
-    result.elapsed = outcome.elapsed;
-    result.messages = outcome.messages;
+    result.elapsed = rt_.run([this](int rank) { start_iteration(rank); },
+                             SimTime::max());
+    result.messages = rt_.messages_delivered();
     result.state.position.resize(
         static_cast<std::size_t>(config_.count));
     result.state.velocity.resize(

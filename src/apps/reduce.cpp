@@ -1,6 +1,6 @@
 #include "apps/reduce.hpp"
 
-#include "apps/spmd.hpp"
+#include "exec/spmd.hpp"
 #include "mmps/coercion.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -83,12 +83,11 @@ class ReduceRunner {
   }
 
   DistributedReduceResult run() {
-    const SpmdRuntime::Outcome outcome =
-        rt_.run([this](int rank) { start_iteration(rank); });
     DistributedReduceResult result;
+    result.elapsed = rt_.run([this](int rank) { start_iteration(rank); },
+                             SimTime::max());
     result.value = root_value_;
-    result.elapsed = outcome.elapsed;
-    result.messages = outcome.messages;
+    result.messages = rt_.messages_delivered();
     return result;
   }
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "apps/spmd.hpp"
+#include "apps/halo.hpp"
 #include "apps/stencil.hpp"
 #include "mmps/coercion.hpp"
 #include "util/error.hpp"
@@ -114,11 +114,10 @@ class SolverRunner {
   }
 
   DistributedSolverResult run() {
-    const SpmdRuntime::Outcome outcome =
-        rt_.run([this](int rank) { start_iteration(rank); });
     DistributedSolverResult result;
-    result.elapsed = outcome.elapsed;
-    result.messages = outcome.messages;
+    result.elapsed = rt_.run([this](int rank) { start_iteration(rank); },
+                             SimTime::max());
+    result.messages = rt_.messages_delivered();
     result.residuals = residuals_;
     result.grid.assign(static_cast<std::size_t>(n_) * n_, 0.0f);
     for (const RowBlock& block : blocks_) {

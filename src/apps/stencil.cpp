@@ -6,7 +6,7 @@
 #include <mutex>
 #include <utility>
 
-#include "apps/spmd.hpp"
+#include "apps/halo.hpp"
 #include "exec/threaded.hpp"
 #include "mmps/coercion.hpp"
 #include "util/error.hpp"
@@ -110,11 +110,10 @@ class StencilRunner {
   }
 
   DistributedStencilResult run() {
-    const SpmdRuntime::Outcome outcome =
-        rt_.run([this](int rank) { start_iteration(rank); });
     DistributedStencilResult result;
-    result.elapsed = outcome.elapsed;
-    result.messages = outcome.messages;
+    result.elapsed = rt_.run([this](int rank) { start_iteration(rank); },
+                             SimTime::max());
+    result.messages = rt_.messages_delivered();
     result.grid.assign(static_cast<std::size_t>(n_) * n_, 0.0f);
     for (const RowBlock& b : blocks_) {
       b.gather(result.grid);

@@ -69,8 +69,9 @@ struct DistributedStencilResult {
 /// plan times are absolute pipeline times and `fault_origin` is where this
 /// run sits on that clock.  Performance faults (slowdowns, flaps,
 /// degradations) delay the run but leave the numerics bit-identical to the
-/// sequential reference; crashing a placed host would stall the exchange,
-/// so plans here should confine crashes to before `fault_origin`.
+/// sequential reference; crashing a placed host stalls the exchange and
+/// throws ExecutionStalled, so plans here should confine crashes to before
+/// `fault_origin`.
 DistributedStencilResult run_distributed_stencil(
     const Network& network, const Placement& placement,
     const PartitionVector& partition, const StencilConfig& config,

@@ -32,6 +32,22 @@ struct GeneralPartitionOptions {
   std::uint64_t max_evaluations = 100000;
 };
 
+/// The best single +/-1 move from `config` (bound in `scratch` with
+/// objective `current`): clusters ascending, +1 before -1, within
+/// [0, available] and never to an empty configuration; a move must beat
+/// the best so far by more than 1e-12.  One round of general_partition's
+/// climb, and evaluate_config_recovery's local repair.
+struct NeighbourMove {
+  int cluster = -1;          ///< -1 when no move beats `current`
+  int delta = 0;
+  double t_c_ms = 0.0;       ///< objective after the move (else `current`)
+  std::uint64_t probes = 0;  ///< estimate_delta calls made
+};
+NeighbourMove best_neighbour(const CycleEstimator& estimator,
+                             const AvailabilitySnapshot& snapshot,
+                             const ProcessorConfig& config, double current,
+                             EstimatorScratch& scratch);
+
 /// Multi-start local search over the full configuration space.  Never
 /// returns a configuration worse than the locality heuristic's (it is one
 /// of the starting points).  Each start's +/-1 neighbourhood is scored

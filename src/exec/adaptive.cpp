@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
-#include <string>
 
+#include "core/general.hpp"
+#include "exec/spmd.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
-#include "sim/faults.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 
@@ -37,44 +37,24 @@ SimTime redistribute(const Network& network, const Placement& placement,
   }
   if (surplus.empty()) return SimTime::zero();
 
-  sim::Engine engine;
-  sim::NetSim net(engine, network, exec_options.sim_params,
-                  Rng(exec_options.seed ^ 0x5EED));
-  net.set_telemetry(exec_options.telemetry, origin);
-  // The PDUs travel over the same (possibly degraded) network: arm the
-  // fault plan at the pipeline time the redistribution starts.
-  std::optional<sim::FaultInjector> injector;
-  if (exec_options.faults != nullptr && !exec_options.faults->empty()) {
-    injector.emplace(net, *exec_options.faults, origin);
-    injector->arm();
-  }
-  int outstanding = 0;
+  // The PDUs travel over the same (possibly degraded) network: the fault
+  // plan and the telemetry sit at the pipeline time the redistribution
+  // starts.
+  SpmdRuntime rt(network, placement, exec_options.sim_params,
+                 Rng(exec_options.seed ^ 0x5EED), exec_options.faults, origin,
+                 exec_options.telemetry);
   while (!surplus.empty()) {
     Delta& s = surplus.front();
     NP_ASSERT(!deficit.empty());
     Delta& d = deficit.front();
     const std::int64_t moved = std::min(s.count, d.count);
-    ++outstanding;
-    net.send(placement[static_cast<std::size_t>(s.rank)],
-             placement[static_cast<std::size_t>(d.rank)],
-             moved * pdu_bytes, [&outstanding] { --outstanding; });
+    rt.transfer(s.rank, d.rank, moved * pdu_bytes);
     s.count -= moved;
     d.count -= moved;
     if (s.count == 0) surplus.pop_front();
     if (d.count == 0) deficit.pop_front();
   }
-  // One event at a time: run() would also drain fault events scheduled
-  // past the last transfer's completion.
-  while (outstanding > 0 && !engine.idle() &&
-         engine.now() < exec_options.budget) {
-    engine.step();
-  }
-  if (outstanding != 0) {
-    throw ExecutionStalled("PDU redistribution could not complete (" +
-                           std::to_string(outstanding) +
-                           " transfers undelivered)");
-  }
-  return engine.now();
+  return rt.drain_transfers(exec_options.budget, "PDU redistribution");
 }
 
 AdaptiveResult run_chunked(const Network& network,
@@ -258,36 +238,18 @@ ConfigRecoveryReport evaluate_config_recovery(
       report.achieved_t_c_ms / std::max(report.oracle_t_c_ms, 1e-12);
 
   // Local +/-1 repair off the achieved configuration, on the delta path:
-  // 2K probes against the bound baseline instead of 2K from-scratch
-  // evaluations.  Probe order and the strict improvement bar match the
-  // general partitioner's climb.
+  // one round of the general partitioner's climb against the bound
+  // baseline instead of 2K from-scratch evaluations.
   EstimatorScratch scratch;
   estimator.bind_delta(achieved, scratch);
-  const int total = config_total(achieved);
-  double best_value = report.achieved_t_c_ms;
-  int best_cluster = -1;
-  int best_delta = 0;
-  for (std::size_t c = 0; c < achieved.size(); ++c) {
-    for (const int delta : {+1, -1}) {
-      const int moved = achieved[c] + delta;
-      if (moved < 0 || moved > snapshot.available[c]) continue;
-      if (total + delta == 0) continue;
-      const double value =
-          estimator.estimate_delta(static_cast<ClusterId>(c), delta, scratch)
-              .t_c_ms;
-      if (value < best_value - 1e-12) {
-        best_value = value;
-        best_cluster = static_cast<int>(c);
-        best_delta = delta;
-      }
-    }
-  }
-  report.local_best_t_c_ms = best_value;
+  const NeighbourMove move = best_neighbour(estimator, snapshot, achieved,
+                                            report.achieved_t_c_ms, scratch);
+  report.local_best_t_c_ms = move.t_c_ms;
   report.local_best_config = achieved;
-  report.locally_optimal = best_cluster < 0;
-  if (best_cluster >= 0) {
-    report.local_best_config[static_cast<std::size_t>(best_cluster)] +=
-        best_delta;
+  report.locally_optimal = move.cluster < 0;
+  if (move.cluster >= 0) {
+    report.local_best_config[static_cast<std::size_t>(move.cluster)] +=
+        move.delta;
   }
   estimator.merge_evaluations(scratch.evaluations);
   return report;

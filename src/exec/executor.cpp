@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 #include <utility>
 
 #include "exec/schedule.hpp"
-#include "sim/faults.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
@@ -25,10 +23,13 @@ struct TaskState {
   bool waiting = false;
   std::pair<std::size_t, int> wait_key{0, 0};
   int wait_needed = 0;
-  bool done = false;
   SimTime finish;
 };
 
+/// The schedule interpreter: steps, compute durations with jitter and
+/// load, delivery counts and iteration bookkeeping.  The run itself --
+/// engine, simulator, fault arming, scatter drain, budget -- is the
+/// runtime's.
 class Runner {
  public:
   Runner(const Network& network, const ComputationSpec& spec,
@@ -36,87 +37,50 @@ class Runner {
          const ExecutionOptions& options)
       : network_(network),
         spec_(spec),
-        placement_(placement),
         partition_(partition),
         options_(options),
-        net_(engine_, network, options.sim_params, Rng(options.seed)),
+        rt_(network, placement, options.sim_params, Rng(options.seed),
+            options.faults, options.load_time_origin, options.telemetry),
         jitter_rng_(Rng(options.seed).stream(0xC0FFEE)),
         schedule_(default_schedule(spec)) {
-    net_.set_telemetry(options_.telemetry, options_.load_time_origin);
-    NP_REQUIRE(!placement_.empty(), "placement must be non-empty");
-    NP_REQUIRE(partition_.num_ranks() ==
-                   static_cast<int>(placement_.size()),
+    NP_REQUIRE(partition_.num_ranks() == rt_.ranks(),
                "partition vector must align with the placement");
     partition_.validate(spec_.num_pdus());
-    tasks_.resize(placement_.size());
+    tasks_.resize(placement.size());
     for (std::size_t r = 0; r < tasks_.size(); ++r) {
       tasks_[r].rank = static_cast<GlobalRank>(r);
     }
   }
 
   ExecutionResult run() {
-    if (options_.faults != nullptr && !options_.faults->empty()) {
-      injector_.emplace(net_, *options_.faults, options_.load_time_origin);
-      injector_->arm();
-    }
-
     // Optional startup scatter: rank 0 distributes every rank's block.
-    // Driven one event at a time: with an armed injector, run() would also
-    // execute fault events scheduled past the scatter's completion.
     SimTime start = SimTime::zero();
-    if (options_.pdu_bytes > 0 && tasks_.size() > 1) {
-      int remaining = static_cast<int>(tasks_.size()) - 1;
-      for (std::size_t r = 1; r < tasks_.size(); ++r) {
-        net_.send(placement_[0], placement_[r],
-                  partition_.at(static_cast<int>(r)) * options_.pdu_bytes,
-                  [&remaining] { --remaining; });
+    if (options_.pdu_bytes > 0 && rt_.ranks() > 1) {
+      for (int r = 1; r < rt_.ranks(); ++r) {
+        rt_.transfer(0, r, partition_.at(r) * options_.pdu_bytes);
       }
-      while (remaining > 0 && !engine_.idle() &&
-             engine_.now() < options_.budget) {
-        engine_.step();
-      }
-      if (remaining != 0) {
-        throw ExecutionStalled("startup scatter could not complete (" +
-                               std::to_string(remaining) +
-                               " transfers undelivered)");
-      }
-      start = engine_.now();
+      start = rt_.drain_transfers(options_.budget, "startup scatter");
     }
-
-    for (TaskState& task : tasks_) {
-      engine_.schedule_at(start, [this, &task] { advance(task); });
-    }
-    engine_.run_until(options_.budget);
+    const SimTime end = rt_.run(
+        [this](int rank) { advance(tasks_[static_cast<std::size_t>(rank)]); },
+        options_.budget);
 
     ExecutionResult result;
     result.startup = start;
-    result.elapsed = SimTime::zero();
-    int unfinished = 0;
-    for (const TaskState& task : tasks_) {
-      if (!task.done) ++unfinished;
-    }
-    if (unfinished > 0) {
-      throw ExecutionStalled(std::to_string(unfinished) +
-                             " rank(s) did not finish within the "
-                             "execution budget");
-    }
-    for (const TaskState& task : tasks_) {
+    result.elapsed = end - start;
+    for (int r = 0; r < rt_.ranks(); ++r) {
+      const TaskState& task = tasks_[static_cast<std::size_t>(r)];
       result.rank_finish.push_back(task.finish - start);
-      result.elapsed = std::max(result.elapsed, task.finish - start);
-    }
-    for (const ProcessorRef& ref : placement_) {
-      result.rank_busy.push_back(net_.host(ref).total_busy());
-    }
-    for (const TaskState& task : tasks_) {
+      result.rank_busy.push_back(rt_.host_busy(r));
       result.rank_compute.push_back(task.compute_time);
     }
     result.iteration_finish = std::move(iteration_finish_);
     for (SimTime& t : result.iteration_finish) t -= start;
     for (SegmentId s = 0; s < network_.num_segments(); ++s) {
-      result.segment_busy.push_back(net_.channel(s).total_busy());
+      result.segment_busy.push_back(rt_.channel_busy(s));
     }
-    result.messages_delivered = net_.messages_delivered();
-    result.retransmissions = net_.retransmissions();
+    result.messages_delivered = rt_.messages_delivered();
+    result.retransmissions = rt_.retransmissions();
     return result;
   }
 
@@ -124,15 +88,15 @@ class Runner {
   /// Execute the task's schedule until it blocks or finishes.  Called from
   /// engine events at the task's ready time.
   void advance(TaskState& task) {
-    const int p = static_cast<int>(placement_.size());
+    const int p = rt_.ranks();
     while (true) {
       if (task.step == schedule_.size()) {
         task.step = 0;
         record_iteration_done(task.iteration);
         ++task.iteration;
         if (task.iteration == spec_.iterations()) {
-          task.done = true;
-          task.finish = engine_.now();
+          task.finish = rt_.now();
+          rt_.finish();
           return;
         }
       }
@@ -141,12 +105,10 @@ class Runner {
         case StepKind::Compute: {
           const ComputationPhaseSpec& phase =
               spec_.computation_phases()[step.phase];
-          const SimTime duration = compute_duration(task, phase);
-          task.compute_time += duration;
-          const SimTime end = net_.host(placement_ref(task.rank))
-                                  .reserve(engine_.now(), duration);
+          const double duration_ms = compute_ms(task, phase);
+          task.compute_time += SimTime::millis(duration_ms);
           ++task.step;
-          engine_.schedule_at(end, [this, &task] { advance(task); });
+          rt_.compute(task.rank, duration_ms, [this, &task] { advance(task); });
           return;
         }
         case StepKind::Send: {
@@ -158,16 +120,15 @@ class Runner {
           for (GlobalRank n :
                send_neighbors(phase.topology(), task.rank, p)) {
             TaskState& receiver = tasks_[static_cast<std::size_t>(n)];
-            net_.send(placement_ref(task.rank), placement_ref(n), bytes,
-                      [this, &receiver, key] { deliver(receiver, key); });
+            rt_.transfer(task.rank, n, bytes,
+                         [this, &receiver, key] { deliver(receiver, key); });
           }
           ++task.step;
           // The asynchronous sends cost initiation time on the host; the
-          // task resumes once its own CPU is free again.
-          const SimTime ready =
-              net_.host(placement_ref(task.rank)).busy_until();
-          if (ready > engine_.now()) {
-            engine_.schedule_at(ready, [this, &task] { advance(task); });
+          // task resumes once its own CPU is free again, inline if it
+          // already is.
+          if (rt_.busy_until(task.rank) > rt_.now()) {
+            rt_.after_sends(task.rank, [this, &task] { advance(task); });
             return;
           }
           break;
@@ -205,10 +166,9 @@ class Runner {
     }
   }
 
-  SimTime compute_duration(TaskState& task,
-                           const ComputationPhaseSpec& phase) {
+  double compute_ms(TaskState& task, const ComputationPhaseSpec& phase) {
     const ProcessorType& type =
-        network_.cluster(placement_ref(task.rank).cluster).type();
+        network_.cluster(rt_.proc(task.rank).cluster).type();
     const SimTime per_op = phase.op_kind == OpKind::FloatingPoint
                                ? type.flop_time
                                : type.int_time;
@@ -223,14 +183,9 @@ class Runner {
       // CPU sharing with background users: a loaded processor delivers a
       // (1 - load) fraction of its cycles to the task.
       duration_ms *= options_.load->slowdown(
-          placement_ref(task.rank),
-          options_.load_time_origin + engine_.now());
+          rt_.proc(task.rank), options_.load_time_origin + rt_.now());
     }
-    return SimTime::millis(duration_ms);
-  }
-
-  ProcessorRef placement_ref(GlobalRank rank) const {
-    return placement_[static_cast<std::size_t>(rank)];
+    return duration_ms;
   }
 
   /// Track when the last rank finishes each iteration.
@@ -241,18 +196,15 @@ class Runner {
       iteration_finish_.resize(i + 1, SimTime::zero());
     }
     if (++iteration_done_[i] == static_cast<int>(tasks_.size())) {
-      iteration_finish_[i] = engine_.now();
+      iteration_finish_[i] = rt_.now();
     }
   }
 
   const Network& network_;
   const ComputationSpec& spec_;
-  const Placement& placement_;
   const PartitionVector& partition_;
   ExecutionOptions options_;
-  sim::Engine engine_;
-  sim::NetSim net_;
-  std::optional<sim::FaultInjector> injector_;
+  SpmdRuntime rt_;
   Rng jitter_rng_;
   std::vector<Step> schedule_;
   std::vector<TaskState> tasks_;

@@ -1,8 +1,9 @@
 // SPMD execution on the simulated network.
 //
 // The executor instantiates one task per selected processor, gives each its
-// slice of the partition vector, and drives the per-iteration schedule of
-// compute / send / receive steps through the discrete-event simulator.  The
+// slice of the partition vector, and interprets the per-iteration schedule
+// of compute / send / receive steps on the simulated SPMD runtime
+// (exec/spmd.hpp).  The
 // measured elapsed time is the Table 2 instrument: unlike the estimator it
 // observes real contention, router hops, coercion, retransmissions, and the
 // pipeline effects of overlap -- nothing is assumed synchronous.
@@ -14,27 +15,11 @@
 #include "dp/partition_vector.hpp"
 #include "dp/phases.hpp"
 #include "exec/load.hpp"
+#include "exec/spmd.hpp"
 #include "sim/netsim.hpp"
 #include "topo/placement.hpp"
-#include "util/error.hpp"
 
 namespace netpart {
-
-namespace sim {
-struct FaultPlan;
-}  // namespace sim
-
-namespace obs {
-class TelemetryRegistry;
-}  // namespace obs
-
-/// Thrown when an execution cannot finish: a fault plan (crash, permanent
-/// partition with give_up_after_max_rounds) or the sim-time budget left
-/// some rank's work undeliverable.
-class ExecutionStalled : public Error {
- public:
-  explicit ExecutionStalled(const std::string& what) : Error(what) {}
-};
 
 struct ExecutionOptions {
   sim::NetSimParams sim_params;

@@ -5,9 +5,32 @@
 
 #include "net/builder.hpp"
 #include "net/presets.hpp"
+#include "topo/placement.hpp"
 #include "util/error.hpp"
 
 namespace netpart::fleet {
+
+namespace {
+
+/// A peer's decision is servable only in a shape a cold path produces:
+/// repartition (no config, no placement), or a config valid on `net` with
+/// one real processor placed, and one partition rank, per selected one.
+void check_decision(const Network& net, const svc::PartitionDecision& d) {
+  if (d.config.empty() && d.placement.empty()) return;
+  validate_config(net, d.config);
+  for (const ProcessorRef& ref : d.placement) {
+    NP_REQUIRE(ref.cluster >= 0 && ref.cluster < net.num_clusters() &&
+                   ref.index >= 0 &&
+                   ref.index < net.cluster(ref.cluster).size(),
+               "fleet decision places a processor the network lacks");
+  }
+  const int placed = static_cast<int>(d.placement.size());
+  NP_REQUIRE(placed == config_total(d.config) &&
+                 d.partition.num_ranks() == placed,
+             "fleet decision's placement or partition misfits its config");
+}
+
+}  // namespace
 
 Network make_fleet_network(int nodes, int processors_per_cluster) {
   NP_REQUIRE(nodes >= 1, "fleet needs at least one node");
@@ -187,6 +210,7 @@ void Fleet::arm_replicate(NodeId n) {
     ReplicateEnvelope envelope;
     try {
       envelope = decode_replicate(msg.payload);
+      check_decision(net_.network(), envelope.decision);
     } catch (const Error&) {
       drop_malformed(n);
       return;
@@ -415,6 +439,7 @@ void Fleet::forward_to(const AttemptPtr& a, NodeId target) {
             ready_us = r.f64();
             decision = std::make_shared<svc::PartitionDecision>(
                 decode_decision_from(r));
+            check_decision(net_.network(), *decision);
           }
           NP_REQUIRE(r.exhausted(), "trailing bytes in fleet forward reply");
         } catch (const Error&) {

@@ -94,10 +94,6 @@ class FleetNode {
   /// the failover audit checks replicas against).  Sorted by cache key.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> hot_entries() const;
 
-  const std::unordered_map<std::uint64_t, HotStat>& hit_counts() const {
-    return hits_;
-  }
-
   /// This node's private telemetry (merged across the fleet by
   /// FleetTelemetry).  Span recording follows tracing().
   obs::TelemetryRegistry& telemetry() { return *telemetry_; }

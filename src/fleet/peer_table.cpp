@@ -91,11 +91,6 @@ PeerHealth PeerTable::health(NodeId peer) const {
   return find(peer).health;
 }
 
-SimTime PeerTable::last_heard(NodeId peer) const {
-  NP_READ(&peers_, "fleet.peer_table.peers");
-  return find(peer).heard;
-}
-
 std::vector<NodeId> PeerTable::ring_members() const {
   NP_READ(&peers_, "fleet.peer_table.peers");
   std::vector<NodeId> members;

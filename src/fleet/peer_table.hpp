@@ -67,7 +67,6 @@ class PeerTable {
   void tick(SimTime now);
 
   PeerHealth health(NodeId peer) const;
-  SimTime last_heard(NodeId peer) const;
 
   /// Ring membership: every node not known dead (self included).  Suspects
   /// stay in the ring -- evicting on first suspicion would reshuffle the

@@ -156,5 +156,14 @@ Network random_network(Rng& rng, int clusters, int max_per_cluster) {
   return b.build();
 }
 
+Network by_name(const std::string& name) {
+  if (name == "paper") return paper_testbed();
+  if (name == "fig1") return fig1_network();
+  if (name == "coercion") return coercion_testbed();
+  if (name == "metasystem") return metasystem();
+  throw ConfigError("unknown network preset: " + name +
+                    " (expected paper|fig1|coercion|metasystem)");
+}
+
 }  // namespace presets
 }  // namespace netpart

@@ -18,6 +18,8 @@
 //   IPC:    fixed ~ 950 us/message, pacing ~ 1.5 us/byte
 #pragma once
 
+#include <string>
+
 #include "net/network.hpp"
 #include "util/rng.hpp"
 
@@ -47,6 +49,10 @@ Network coercion_testbed();
 /// two workstation clusters of the evaluation testbed.  Relaxes
 /// assumption 1 (equal segment bandwidth).
 Network metasystem();
+
+/// The named preset: paper, fig1, coercion or metasystem (the names the
+/// command-line tools accept).  Throws ConfigError for any other name.
+Network by_name(const std::string& name);
 
 /// A random heterogeneous network for ablation studies: `clusters` clusters
 /// of 2..max_per_cluster processors whose speeds and messaging costs vary

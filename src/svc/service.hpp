@@ -17,7 +17,7 @@
 //     one in-flight computation (a shared-future per cache key), so a
 //     thundering herd on a cold key costs one compute;
 //   * a metrics registry -- counters plus hit/cold latency histograms,
-//     exportable as CSV/JSON.
+//     exportable as JSON.
 //
 // The service owns no threads.  Threading contract: the Network and
 // CostModelDb are read concurrently by the querying threads and must not

@@ -13,6 +13,7 @@
 #include "exec/load.hpp"
 #include "net/presets.hpp"
 #include "obs/telemetry.hpp"
+#include "sim/faults.hpp"
 
 namespace netpart {
 namespace {
@@ -208,6 +209,40 @@ TEST(AdaptiveTest, TelemetryLandsOnThePipelineClock) {
   }
   EXPECT_EQ(chunks, 8);
   EXPECT_EQ(migrations, r.repartitions);
+}
+
+TEST(AdaptiveTest, AdaptivePinnedBitForBit) {
+  // Constants recorded before the chunks and the migrations moved onto the
+  // shared SPMD runtime.  A load step and an open-ended slowdown force
+  // imbalance- and fault-triggered repartitions; a flap lands on the
+  // migration traffic's segment.
+  AdaptiveFixture f;
+  const LoadSchedule skew =
+      LoadSchedule::step(testbed(), 0, 3, SimTime::millis(500), 0.5);
+  sim::FaultPlan plan;
+  plan.slowdowns.push_back(
+      {SimTime::millis(2000), SimTime::max(), f.placement[1], 2.0});
+  plan.flaps.push_back({SimTime::millis(4000), SimTime::millis(4040), 0});
+  ExecutionOptions options;
+  options.load = &skew;
+  options.faults = &plan;
+  options.sim_params.loss_rate = 0.02;
+  options.seed = 5;
+  obs::TelemetryRegistry reg;
+  options.telemetry = &reg;
+  const AdaptiveResult r = execute_adaptive(
+      testbed(), f.spec, f.placement, f.initial, options, f.adaptive);
+  EXPECT_EQ(r.elapsed.as_nanos(), 27571610400);
+  EXPECT_EQ(r.redistribution_time.as_nanos(), 1682400000);
+  EXPECT_EQ(r.repartitions, 2);
+  EXPECT_EQ(r.fault_responses, 1);
+  EXPECT_EQ(r.first_fault_response.as_nanos(), 3541994400);
+  EXPECT_EQ(r.final_partition.to_string(), "300 150 300 150 150 150");
+  EXPECT_EQ(r.messages_delivered, 400u);
+  // The migrations' transfers show up only in the simulator telemetry.
+  EXPECT_EQ(reg.counter("sim.messages_delivered").value(), 410u);
+  EXPECT_EQ(reg.counter("sim.bytes_delivered").value(), 2980800u);
+  EXPECT_EQ(reg.counter("sim.fragments_lost").value(), 60u);
 }
 
 TEST(LoadScheduleTest, RandomWalkIsBoundedAndSeeded) {

@@ -1,11 +1,17 @@
 // Tests for the SPMD executor and step scheduling.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "apps/stencil.hpp"
+#include "byte_hash.hpp"
 #include "core/decompose.hpp"
+#include "exec/adaptive.hpp"
 #include "exec/executor.hpp"
 #include "exec/schedule.hpp"
 #include "net/presets.hpp"
+#include "obs/telemetry.hpp"
+#include "sim/faults.hpp"
 #include "util/error.hpp"
 
 namespace netpart {
@@ -247,6 +253,167 @@ TEST(ExecutorTest, AverageElapsedAveragesSeeds) {
   EXPECT_THROW(
       average_elapsed_ms(testbed(), spec, placement, part, options, 0),
       InvalidArgument);
+}
+
+// Every per-rank / per-iteration / per-segment series of a run, in ns,
+// folded into one constant.
+std::uint64_t series_hash(const ExecutionResult& r) {
+  std::vector<std::int64_t> ns;
+  for (const auto* series : {&r.rank_finish, &r.rank_busy, &r.rank_compute,
+                             &r.iteration_finish, &r.segment_busy}) {
+    ns.push_back(static_cast<std::int64_t>(series->size()));
+    for (const SimTime t : *series) ns.push_back(t.as_nanos());
+  }
+  return byte_hash(ns);
+}
+
+TEST(ExecutorTest, ExecutePinnedBitForBit) {
+  // Constants recorded from the executor's own engine before it moved onto
+  // the shared SPMD runtime; any drift in event order, seeding, fault
+  // arming or readout shows up here.
+  const ProcessorConfig config{4, 2};
+  const Placement placement = contiguous_placement(testbed(), config);
+  const PartitionVector part = balanced_partition(
+      testbed(), config, clusters_by_speed(testbed()), 300);
+  const LoadSchedule load =
+      LoadSchedule::step(testbed(), 0, 2, SimTime::millis(200), 0.5);
+  // The flap hits the scatter, the slowdown the iterations after it.
+  sim::FaultPlan plan;
+  plan.slowdowns.push_back(
+      {SimTime::millis(650), SimTime::millis(900), placement[1], 3.0});
+  plan.flaps.push_back({SimTime::millis(150), SimTime::millis(190), 0});
+
+  struct Case {
+    const char* name;
+    bool overlap;
+    ExecutionOptions options;
+    std::int64_t elapsed_ns;
+    std::int64_t startup_ns;
+    std::uint64_t messages;
+    std::uint64_t retransmissions;
+    std::uint64_t series;
+  };
+  ExecutionOptions lossy;
+  lossy.sim_params.loss_rate = 0.05;
+  lossy.compute_jitter = 0.05;
+  lossy.seed = 11;
+  ExecutionOptions loaded;
+  loaded.load = &load;
+  loaded.load_time_origin = SimTime::millis(50);
+  ExecutionOptions scatter;
+  scatter.pdu_bytes = 4 * 300;
+  ExecutionOptions faulted;
+  faulted.faults = &plan;
+  faulted.load_time_origin = SimTime::millis(20);
+  faulted.pdu_bytes = 4 * 300;
+  const Case cases[] = {
+      {"STEN-1", false, {}, 390656000, 0, 100, 0, 10702137747949861687u},
+      {"STEN-2", true, {}, 271600000, 0, 100, 0, 10148288428529396413u},
+      {"lossy + jitter", false, lossy, 499690377, 0, 100, 3,
+       1990197887885597195u},
+      {"load step", true, loaded, 379600000, 0, 100, 0,
+       17564936405268429100u},
+      {"scatter", false, scatter, 390656000, 456119200, 105, 0,
+       6621509838777875812u},
+      {"slowdown + flap", false, faulted, 495290000, 537500400, 105, 19,
+       4637136077160858159u},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ExecutionResult r =
+        execute(testbed(), stencil(300, c.overlap), placement, part,
+                c.options);
+    EXPECT_EQ(r.elapsed.as_nanos(), c.elapsed_ns);
+    EXPECT_EQ(r.startup.as_nanos(), c.startup_ns);
+    EXPECT_EQ(r.messages_delivered, c.messages);
+    EXPECT_EQ(r.retransmissions, c.retransmissions);
+    EXPECT_EQ(series_hash(r), c.series);
+  }
+
+  // Telemetry on, with the fault plan and the scatter: the same figures,
+  // one msg span per delivered message (scatter included) and the sim.*
+  // counters.
+  obs::TelemetryRegistry reg;
+  ExecutionOptions traced = faulted;
+  traced.telemetry = &reg;
+  const ExecutionResult r =
+      execute(testbed(), stencil(300, false), placement, part, traced);
+  EXPECT_EQ(r.elapsed.as_nanos(), cases[5].elapsed_ns);
+  EXPECT_EQ(series_hash(r), cases[5].series);
+  std::size_t msg_spans = 0;
+  for (const obs::SpanRecord& s : reg.spans()) {
+    if (s.name == "msg") ++msg_spans;
+  }
+  EXPECT_EQ(msg_spans, 105u);
+  EXPECT_EQ(reg.instants().size(), 150u);
+  EXPECT_EQ(reg.counter("sim.messages_delivered").value(), 105u);
+  EXPECT_EQ(reg.counter("sim.bytes_delivered").value(), 408000u);
+  EXPECT_EQ(reg.counter("sim.fragments_lost").value(), 19u);
+  EXPECT_EQ(reg.counter("sim.messages_dropped").value(), 0u);
+}
+
+// The message of the ExecutionStalled that `run` throws ("" if none).
+template <typename Fn>
+std::string stall_message(Fn run) {
+  try {
+    run();
+  } catch (const ExecutionStalled& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ExecutorTest, StalledRunsThrowExecutionStalled) {
+  const ComputationSpec spec = stencil(300, false);
+  const ProcessorConfig config{4, 2};
+  const Placement placement = contiguous_placement(testbed(), config);
+  const PartitionVector part = balanced_partition(
+      testbed(), config, clusters_by_speed(testbed()), 300);
+
+  // A placed host crashes mid-run: its neighbours wait forever.
+  sim::FaultPlan crash;
+  crash.crashes.push_back({SimTime::millis(30), placement[2]});
+  ExecutionOptions crashed;
+  crashed.faults = &crash;
+  EXPECT_NE(stall_message([&] {
+              execute(testbed(), spec, placement, part, crashed);
+            }).find("did not finish"),
+            std::string::npos);
+
+  // The budget ends before the last iteration does.
+  ExecutionOptions tiny;
+  tiny.budget = SimTime::millis(1);
+  EXPECT_NE(stall_message([&] {
+              execute(testbed(), spec, placement, part, tiny);
+            }).find("did not finish"),
+            std::string::npos);
+
+  // The scatter's destination is dead before the first byte leaves.
+  sim::FaultPlan dead;
+  dead.crashes.push_back({SimTime::zero(), placement[3]});
+  ExecutionOptions scatter;
+  scatter.faults = &dead;
+  scatter.pdu_bytes = 4 * 300;
+  EXPECT_NE(stall_message([&] {
+              execute(testbed(), spec, placement, part, scatter);
+            }).find("startup scatter"),
+            std::string::npos);
+
+  // A skewed load forces a migration far longer than the budget, which
+  // every chunk alone fits in.
+  const LoadSchedule skew =
+      LoadSchedule::step(testbed(), 0, 2, SimTime::zero(), 0.6);
+  ExecutionOptions bounded;
+  bounded.load = &skew;
+  bounded.budget = SimTime::seconds(2);
+  const AdaptiveOptions adaptive{.check_interval = 2,
+                                 .imbalance_threshold = 1.25,
+                                 .pdu_bytes = 4 * 300 * 400};
+  EXPECT_NE(stall_message([&] {
+              execute_adaptive(testbed(), spec, placement, part, bounded,
+                               adaptive);
+            }).find("PDU redistribution"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -625,6 +625,77 @@ TEST(FleetTest, MalformedPeerMessagesAreDroppedAndCounted) {
   }
 }
 
+TEST(FleetTest, PeerDecisionsOfNoServableShapeAreDropped) {
+  // Decisions that decode but that partition() could never return: a
+  // replica must not cache them and a relay must not serve them.
+  FleetBed bed(4);
+  const auto host = [](NodeId id) { return ProcessorRef{id, 0}; };
+  const auto dropped = [&bed] {
+    std::uint64_t total = 0;
+    for (NodeId id : bed.fl.node_ids()) {
+      const auto counters = bed.fl.node(id).telemetry().snapshot().counters;
+      const auto it = counters.find("fleet.node.malformed_dropped");
+      if (it != counters.end()) total += it->second;
+    }
+    return total;
+  };
+  const auto decision = [&bed](ProcessorConfig config, Placement placement,
+                               std::vector<std::int64_t> partition) {
+    svc::PartitionDecision d;
+    d.epoch = bed.fl.node(0).epoch();  // current: only the shape is wrong
+    d.config = std::move(config);
+    d.placement = std::move(placement);
+    d.partition = PartitionVector(std::move(partition));
+    return d;
+  };
+  const std::vector<svc::PartitionDecision> bad = {
+      decision({1}, {{0, 0}}, {5}),                  // config misses clusters
+      decision({-1, 1, 0, 0}, {{1, 0}}, {5}),        // negative count
+      decision({1, 0, 0, 0}, {{0, 99}}, {5}),        // no such processor
+      decision({1, 0, 0, 0}, {{7, 0}}, {5}),         // no such cluster
+      decision({2, 0, 0, 0}, {{0, 0}}, {5}),         // placement too short
+      decision({1, 0, 0, 0}, {{0, 0}}, {2, 3}),      // partition too long
+      decision({}, {{0, 0}}, {5}),                   // placement, no config
+  };
+
+  // A forwarded request whose owner answers first with a bad decision.
+  std::vector<fleet::FleetReply> replies;
+  const svc::PartitionRequest req = fleet::workload_request(1);
+  const NodeId owner = bed.fl.node(0).ring().owner(bed.fl.routing_key(req));
+  const NodeId entry = (owner + 1) % 4;
+  bed.fl.submit(req, entry,
+                [&](const fleet::FleetReply& r) { replies.push_back(r); });
+  fleet::WireWriter reply;
+  reply.u8(1).u8(0).f64(1.0).f64(2.0);
+  fleet::encode_decision_into(reply, bad[2]);
+  bed.fl.mmps().send(host(owner), host(entry), 1, reply.take());
+  std::uint64_t injected = 1;
+
+  for (NodeId at : bed.fl.node_ids()) {
+    const NodeId peer = (at + 1) % 4;
+    for (const svc::PartitionDecision& d : bad) {
+      bed.fl.mmps().send(host(peer), host(at), fleet::kReplicateTag,
+                         fleet::encode_replicate({{}, d}));
+      ++injected;
+    }
+  }
+  // Both servable shapes are still accepted: the synthetic cold path's
+  // partition and a bare repartition.
+  bed.fl.mmps().send(host(1), host(0), fleet::kReplicateTag,
+                     fleet::encode_replicate(
+                         {{}, decision({1, 0, 0, 0}, {{0, 0}}, {5})}));
+  bed.fl.mmps().send(host(2), host(0), fleet::kReplicateTag,
+                     fleet::encode_replicate({{}, decision({}, {}, {2, 3})}));
+
+  ASSERT_TRUE(step_until(bed.engine, [&] {
+    return !replies.empty() && dropped() == injected &&
+           bed.fl.stats().replica_inserts == 2;
+  }));
+  EXPECT_FALSE(replies[0].ok);
+  EXPECT_EQ(dropped(), injected);
+  EXPECT_EQ(bed.fl.stats().replica_inserts, 2u);
+}
+
 TEST(FleetTest, WorkloadIsDeterministicForAGivenSeed) {
   const auto run = [](std::uint64_t seed) {
     fleet::FleetOptions options;
